@@ -2,15 +2,16 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Drives the xvec pipeline through ``xvec.cli.main`` in this one process, one
-call per stage, then checks the outputs against computations made apart
-from the program (checks.py). The set-up runs three times; then rounds of
-the workload's timed stages repeat until ``--seconds`` have passed, at
-least one. Every stage call, start-up process and check is one operation.
-The last line of standard output is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``: the end-to-end metrics of the
-stages the workload runs with ``--trace 0``, per-layer metrics from a span
-trace with ``--trace 1``. See perfbench/README.md.
+Drives the whole xvec pipeline (gen-data, gradcheck, train, extract, score,
+eval and fresh `python -m xvec.cli --help` processes) through
+``xvec.cli.main`` in this one process, one call per stage, then checks the
+outputs against computations made apart from the program (checks.py). The
+set-up runs SETUPS times; then rounds of the timed stages repeat until
+``--seconds`` have passed, at least one. Every stage call, start-up process
+and check is one operation. The last line of standard output is one JSON
+object with ``correct``, ``attempted``, ``failed`` and ``metrics``: every
+end-to-end metric of BENCHMARK.json with ``--trace 0``, every per-layer
+metric, from a span trace, with ``--trace 1``. See perfbench/README.md.
 """
 
 from __future__ import annotations
@@ -48,15 +49,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import checks  # noqa: E402  (after the thread variables are cleared)
 
-WORKLOADS = ("train-multihead", "train-stats", "verify")
-SETUPS = 3               # set-up repetitions; setup_s is their median
-GRADCHECK_EACH_SIDE = 6  # train-multihead: gradcheck calls before and after training
-VERIFY_PASSES = 2        # verify: passes of extract, score, eval and a start-up process
-SCORE_CALLS = 3          # score calls per pass
+WORKLOADS = ("multihead", "stats")
+SETUPS = 5               # set-up repetitions; setup_s is their median
+GRADCHECKS = 2           # gradcheck calls per round, on fixed seeds 0, 1, ...
+PASSES = 2               # passes of extract, score, eval and a start-up process per round
 EMBED_SAMPLE = 24        # embeddings recomputed by the reference forward
 FD_BATCH, FD_FRAMES, FD_PER_GROUP = 4, 40, 3
-MIN_ACCURACY = 0.3       # final train accuracy bound on train-* (chance is 1/32)
-MAX_EER = 0.05           # held-out EER bound on verify
+MIN_ACCURACY = 0.3       # final train accuracy bound (chance is 1/32)
+MAX_EER = 0.05           # held-out EER bound
 
 # The README model: five TDNN frame blocks, [mean; std] pooling into two
 # 64-wide utterance layers, embedding tapped before the second one's ReLU.
@@ -71,7 +71,6 @@ BATCH, CHUNK, EPOCHS = 32, 150, 2
 UNITS = {
     "setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB",
     "train_frames_per_s": "frames/s", "extract_frames_per_s": "frames/s",
-    "eval_trials_per_s": "trials/s", "startup_s": "s",
 }
 
 
@@ -81,33 +80,21 @@ def synth(speakers: int, utts: int) -> dict:
 
 
 def run_config(workload: str) -> dict:
-    pooling = "stats" if workload == "train-stats" else "multihead"
-    model = {"frame_layers": FRAME_LAYERS, "pooling": pooling,
+    model = {"frame_layers": FRAME_LAYERS, "pooling": workload,
              "utterance_layers": [64, 64], "embedding_tap": 1}
-    if pooling == "multihead":
+    if workload == "multihead":
         model.update(key_layer=4, compat=[100], heads=4)
-    cfg = {"model": model,
-           "train": {"optimizer": "adam", "lr": 1e-3, "epochs": EPOCHS,
-                     "batch_size": BATCH, "chunk_len": CHUNK}}
-    if workload == "verify":
-        # A brief training run (one epoch, 4 steps) and a held-out set twice the toy size.
-        cfg["synth"] = {"train": synth(32, 4), "eval": synth(64, 20)}
-        cfg["trials"] = {"enroll_per_speaker": 3}
-        cfg["train"]["epochs"] = 1
-    else:
-        cfg["synth"] = {"train": synth(32, 20)}
-    return cfg
+    return {"model": model,
+            "synth": {"train": synth(32, 20), "eval": synth(48, 20)},
+            "trials": {"enroll_per_speaker": 3},
+            "train": {"optimizer": "adam", "lr": 1e-3, "epochs": EPOCHS,
+                      "batch_size": BATCH, "chunk_len": CHUNK}}
 
 
 class Bench:
     def __init__(self, cli, workload: str, seed: int, work: Path, traced: bool):
         self.cli = cli
-        self.verify = workload == "verify"
-        self.pooling = run_config(workload)["model"]["pooling"]
-        # gradcheck runs on train-multihead only: on the stats tiny model a
-        # call lasts ~0.3 s of Python overhead, and its rate swung by 1.7x
-        # with the host's speed, past any bound the benchmark can set.
-        self.gradcheck_side = GRADCHECK_EACH_SIDE if workload == "train-multihead" else 0
+        self.pooling = workload
         self.seed = seed
         self.work = work
         self.traced = traced
@@ -121,7 +108,7 @@ class Bench:
         self.config = work / "run.json"
         self.config.write_text(json.dumps(run_config(workload), indent=1))
         self.corpus = work / "corpus0"
-        self.run = work / "run0"
+        self.run = work / "run"
 
     def _fail(self, what: str) -> None:
         self.failed += 1
@@ -173,55 +160,38 @@ class Bench:
 
     # -- stages ------------------------------------------------------------------
 
-    def train(self, corpus: Path, run: Path):
-        return self.call("train", "--config", str(self.config), "--data", str(corpus / "train"),
-                         "--out-dir", str(run), "--seed", str(self.train_seed))
-
     def setup(self) -> list:
-        """gen-data, and on verify the brief training, SETUPS times into
-        separate directories; the first copy is the one used."""
+        """gen-data SETUPS times into separate directories; the first copy is used."""
         times = []
         for i in range(SETUPS):
             # Write back dirty pages first (outside the timing): otherwise a
             # set-up pays for the writeback of whatever the run before it wrote
             # (gen-data took 0.70-0.86 s just after a run and ~0.3 s after a sync).
             os.sync()
-            corpus = self.work / f"corpus{i}"
-            seconds, _ = self.call("gen-data", "--config", str(self.config), "--out-dir", str(corpus),
-                                   "--seed", str(self.data_seed))
-            if self.verify:
-                seconds += self.train(corpus, self.work / f"run{i}")[0]
-            times.append(seconds)
+            times.append(self.call("gen-data", "--config", str(self.config), "--out-dir",
+                                   str(self.work / f"corpus{i}"), "--seed", str(self.data_seed))[0])
         return times
 
-    def gradchecks(self, seeds) -> None:
+    def round(self) -> dict:
+        """One round of the pipeline's timed stages; returns {stage: [seconds per call]}."""
+        c, r = self.corpus, self.run
+        t = {"startup": [self.startup()]}
         # Fixed seeds, not the run seed: with its single 1e-5 step, xvec
         # gradcheck reports a false FAIL on the few seeds whose step crosses a
         # leaky-ReLU kink (multihead 46, both kinds 261).
-        for k in seeds:
-            self.gradcheck_out.append(self.call("gradcheck", "--pooling", self.pooling, "--seed", str(k))[1])
-
-    def round(self) -> dict:
-        """One round of timed stages, ordered so that every repeated stage is
-        sampled across the run rather than in one burst.
-        Returns {stage: [seconds per call]}."""
-        t = {}
-        if not self.verify:
-            self.gradcheck_out = []
-            self.gradchecks(range(self.gradcheck_side))
-            seconds, self.train_out = self.train(self.corpus, self.run)
-            t["train"] = [seconds]
-            self.gradchecks(range(self.gradcheck_side, 2 * self.gradcheck_side))
-            return t
-        c, r = self.corpus, self.run
-        t["startup"] = [self.startup()]
-        for _ in range(VERIFY_PASSES):
+        self.gradcheck_out = [self.call("gradcheck", "--pooling", self.pooling, "--seed", str(k))[1]
+                              for k in range(GRADCHECKS)]
+        seconds, self.train_out = self.call(
+            "train", "--config", str(self.config), "--data", str(c / "train"),
+            "--out-dir", str(r), "--seed", str(self.train_seed))
+        t["train"] = [seconds]
+        for _ in range(PASSES):
             t.setdefault("extract", []).append(self.call(
                 "extract", "--model", str(r / "model.xvm"), "--data", str(c / "eval"),
                 "--out", str(r / "eval.xve"))[0])
-            for _ in range(SCORE_CALLS):
-                self.call("score", "--embeddings", str(r / "eval.xve"), "--trials", str(c / "trials.tsv"),
-                          "--enroll-map", str(c / "enroll.tsv"), "--out", str(r / "scores.tsv"))
+            t.setdefault("score", []).append(self.call(
+                "score", "--embeddings", str(r / "eval.xve"), "--trials", str(c / "trials.tsv"),
+                "--enroll-map", str(c / "enroll.tsv"), "--out", str(r / "scores.tsv"))[0])
             t.setdefault("eval", []).append(self.call(
                 "eval", "--scores", str(r / "scores.tsv"), "--trials", str(c / "trials.tsv"),
                 "--out", str(r / "metrics.json"))[0])
@@ -233,20 +203,17 @@ class Bench:
     def checks(self) -> None:
         c, r = self.corpus, self.run
         rng = np.random.default_rng(self.seed)
-        if self.verify:
-            self.check("embeddings", checks.check_embeddings, r / "model.xvm", c / "eval", r / "eval.xve",
-                       EMBED_SAMPLE, rng)
-            scored = functools.cache(lambda: checks.read_scored_trials(c / "trials.tsv", r / "scores.tsv"))
-            self.check("scores", lambda: checks.check_scores(r / "eval.xve", c / "enroll.tsv", *scored()))
-            self.check("metrics", lambda: checks.check_metrics(*scored(), r / "metrics.json", MAX_EER))
-            return
+        self.check("gradcheck-pass", lambda: checks.require(
+            all("[PASS]" in out for out in self.gradcheck_out), "gradcheck did not report PASS"))
         steps_per_epoch = math.ceil(len(checks.read_manifest(c / "train")) / BATCH)
-        if self.gradcheck_out:
-            self.check("gradcheck-pass", lambda: checks.require(
-                all("[PASS]" in out for out in self.gradcheck_out), "gradcheck did not report PASS"))
         self.check("train-log", checks.check_train_log, r / "train_log.jsonl", EPOCHS, steps_per_epoch)
         self.check("train-accuracy", self.check_accuracy)
         self.check("batched-gradients", self.check_batched_gradients, rng)
+        self.check("embeddings", checks.check_embeddings, r / "model.xvm", c / "eval", r / "eval.xve",
+                   EMBED_SAMPLE, rng)
+        scored = functools.cache(lambda: checks.read_scored_trials(c / "trials.tsv", r / "scores.tsv"))
+        self.check("scores", lambda: checks.check_scores(r / "eval.xve", c / "enroll.tsv", *scored()))
+        self.check("metrics", lambda: checks.check_metrics(*scored(), r / "metrics.json", MAX_EER))
 
     def check_accuracy(self) -> None:
         m = re.search(r"train accuracy ([0-9.e+-]+)", self.train_out)
@@ -283,18 +250,17 @@ class Bench:
         def median(stage):
             return statistics.median(x for rnd in rounds for x in rnd[stage])
 
-        out = {"setup_s": statistics.median(setup_times), "wall_s": wall,
-               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-        if self.verify:
-            frames = sum(checks.feature_frames(p) for _, _, p in checks.read_manifest(self.corpus / "eval"))
-            trials = len(checks.read_tsv(self.corpus / "trials.tsv"))
-            out["extract_frames_per_s"] = frames / median("extract")
-            out["eval_trials_per_s"] = trials / median("eval")
-            out["startup_s"] = median("startup")
-        else:
-            utts = len(checks.read_manifest(self.corpus / "train"))
-            out["train_frames_per_s"] = EPOCHS * utts * CHUNK / median("train")
-        return out
+        for stage in rounds[0]:
+            calls = " ".join(f"{x:.3f}" for rnd in rounds for x in rnd[stage])
+            print(f"{stage + ' s':40s} {calls}")
+        print(f"{'set-up s':40s} {' '.join(f'{x:.3f}' for x in setup_times)}")
+
+        utts = len(checks.read_manifest(self.corpus / "train"))
+        frames = sum(checks.feature_frames(p) for _, _, p in checks.read_manifest(self.corpus / "eval"))
+        return {"setup_s": statistics.median(setup_times), "wall_s": wall,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                "train_frames_per_s": EPOCHS * utts * CHUNK / median("train"),
+                "extract_frames_per_s": frames / median("extract")}
 
 
 def child_env() -> dict:
@@ -351,6 +317,13 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    kind = "per_layer" if args.trace else "end_to_end"
+    wanted = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())[kind]]
+    missing = [name for name in wanted if name not in metrics]
+    if missing:
+        print(f"perfbench: no value for {', '.join(missing)}", file=sys.stderr)
+        return 1
+    metrics = {name: metrics[name] for name in wanted}
     for name, (value, unit) in metrics.items():
         print(f"{name:40s} {value:14.6g} {unit}")
     print(f"operations: {bench.attempted} attempted, {bench.failed} failed")

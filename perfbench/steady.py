@@ -48,6 +48,10 @@ def run_set(spec, label, workloads, seeds, trace) -> dict:
                 sys.stderr.write(proc.stderr)
                 raise SystemExit(f"{workload} seed {seed}: exit {proc.returncode}")
             result = json.loads(proc.stdout.strip().splitlines()[-1])
+            kind = "per_layer" if trace else "end_to_end"
+            missing = {m["name"] for m in spec[kind]} - set(result["metrics"])
+            if missing:
+                raise SystemExit(f"{workload} seed {seed}: no value for {', '.join(sorted(missing))}")
             runs.append({"workload": workload, "seed": seed, "trace": trace,
                          "process_s": elapsed, "result": result})
             print(f"{workload} seed {seed}: {elapsed:.1f} s, {result['attempted']} attempted, "

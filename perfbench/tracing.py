@@ -270,10 +270,9 @@ def layer_metrics(raw_spans) -> dict:
 
     pool_fwd = {"pooling.MultiHeadPool.pool_from_compat", "pooling.StatsPool.pool"}
     pool_bwd = {"pooling.MultiHeadPool.backward_from_compat", "pooling.StatsPool.pool_backward"}
-    ms("pooling.fwd_ms_per_step", tr.per_step(pool_fwd))
-    ms("pooling.bwd_ms_per_step", tr.per_step(pool_bwd))
-    ms("pooling.compat_fwd_ms_per_step", tr.per_step({"pooling.CompatibilityNet.forward"}, inclusive=True))
-    ms("pooling.compat_bwd_ms_per_step", tr.per_step({"pooling.CompatibilityNet.backward"}, inclusive=True))
+    # inclusive, and with the compatibility net (its nn layers too) on multihead
+    ms("pooling.fwd_ms_per_step", tr.per_step(pool_fwd | {"pooling.CompatibilityNet.forward"}, inclusive=True))
+    ms("pooling.bwd_ms_per_step", tr.per_step(pool_bwd | {"pooling.CompatibilityNet.backward"}, inclusive=True))
     put("pooling.calls_per_step", tr.step_count(pool_fwd | pool_bwd), "count")
     put("pooling.infer_s", tr.per_call("extract", {n for n in tr.by_name if n.startswith("pooling.")}), "s")
 
