@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,21 +59,6 @@ def parse_compat(text: str) -> list:
     if not widths or any(w < 1 for w in widths):
         raise ConfigError(f"--compat: widths must be positive, got '{text}'")
     return widths
-
-
-def resolve_workers(requested: int) -> int:
-    cap_text = os.environ.get("XVEC_THREADS")
-    cap = None
-    if cap_text is not None:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ConfigError(f"XVEC_THREADS must be an integer, got '{cap_text}'") from None
-        if cap < 1:
-            raise ConfigError(f"XVEC_THREADS must be >= 1, got {cap}")
-    if requested < 1:
-        requested = os.cpu_count() or 1
-    return min(requested, cap) if cap else requested
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -168,17 +151,7 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     model = load_model(args.model)
     dataset = data.load_dataset(args.data)
-    workers = resolve_workers(args.workers)
-
-    def one(utt):
-        return utt.utt_id, model.extract_embedding(utt.features)
-
-    if workers <= 1:
-        pairs = [one(u) for u in dataset.utterances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, dataset.utterances))
-    embeddings = dict(pairs)
+    embeddings = {utt.utt_id: model.extract_embedding(utt.features) for utt in dataset.utterances}
     data.write_embeddings(args.out, embeddings)
     dim = next(iter(embeddings.values())).shape[0]
     print(f"wrote {len(embeddings)} embeddings (dim {dim}) to {args.out}")
@@ -299,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=0,
-                   help="thread count, 0 = auto; XVEC_THREADS caps it")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("score", help="cosine-score trials against embeddings")

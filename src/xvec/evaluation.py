@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .data import Dataset
 from .errors import ConfigError, DataError, FormatError
@@ -103,9 +102,8 @@ def _error_curves(scores: np.ndarray, labels: np.ndarray):
     p_fa = np.empty(thresholds.size + 1)
     tar = np.sort(scores[labels == 1])
     non = np.sort(scores[labels == 0])
-    for i, thr in enumerate(thresholds):
-        p_miss[i] = np.searchsorted(tar, thr, side="left") / n_tar   # target < thr
-        p_fa[i] = 1.0 - np.searchsorted(non, thr, side="left") / n_non  # nontarget >= thr
+    p_miss[:-1] = np.searchsorted(tar, thresholds, side="left") / n_tar   # target < thr
+    p_fa[:-1] = 1.0 - np.searchsorted(non, thresholds, side="left") / n_non  # nontarget >= thr
     p_miss[-1] = 1.0
     p_fa[-1] = 0.0
     return p_miss, p_fa
@@ -186,6 +184,10 @@ def attention_trajectory(model: Model, features: np.ndarray):
 def gate_correlation(weights: np.ndarray, gate: np.ndarray) -> float:
     """Spearman rank correlation between attention weights and the 0/1
     informative-frame gate; 0.0 when either side is constant."""
+    # imported here: scipy.stats takes over a second to import, and no CLI
+    # command needs it
+    from scipy.stats import spearmanr
+
     weights = np.asarray(weights, dtype=np.float64)
     gate = np.asarray(gate, dtype=np.float64)
     if weights.shape != gate.shape or weights.ndim != 1:
@@ -319,13 +321,6 @@ def join_scores_with_trials(scores: dict, trials: list) -> tuple:
         values[i] = scores[(t.enroll, t.test)]
         labels[i] = 1 if t.target else 0
     return values, labels
-
-
-def write_metrics(path, report: MetricsReport, extra: dict | None = None) -> None:
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def metrics_json(report: MetricsReport, extra: dict | None = None) -> str:

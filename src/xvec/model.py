@@ -4,11 +4,14 @@ classifier, plus checkpoint serialization.
 Inference processes one utterance per forward call. Training forwards a
 whole batch of equal-length chunks at once so that batch norm statistics
 cover every frame in the batch; splicing and pooling still treat each
-chunk separately. Frame layers are splice + affine + leaky ReLU + batch
-norm blocks; the pooled vector feeds affine + leaky ReLU utterance blocks
-and a softmax classifier. Utterance blocks carry no batch norm because
-inference sees a single pooled vector. The speaker embedding is the
-pre-activation output of a configurable utterance-level affine.
+chunk separately. There is one backward pass, the batched one: training and
+the gradient checker both run it, the checker on a batch of one chunk
+against central differences of the single-utterance forward. Frame layers
+are splice + affine + leaky ReLU + batch norm blocks; the pooled vector
+feeds affine + leaky ReLU utterance blocks and a softmax classifier.
+Utterance blocks carry no batch norm because inference sees a single pooled
+vector. The speaker embedding is the pre-activation output of a
+configurable utterance-level affine.
 """
 
 from __future__ import annotations
@@ -188,12 +191,6 @@ class _FrameBlock:
         self.act = act
         self.bn = bn
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.bn.forward(self.act.forward(self.affine.forward(self.splice.forward(x, train), train), train), train)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self.splice.backward(self.affine.backward(self.act.backward(self.bn.backward(grad))))
-
     def parameters(self) -> list[Parameter]:
         return self.affine.parameters() + self.bn.parameters()
 
@@ -282,6 +279,9 @@ class Model:
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, features: np.ndarray, train: bool = False) -> ForwardTrace:
+        """Forward one T x d utterance. Inference uses train=False; train=True
+        normalizes with the utterance's own frame statistics and updates the
+        running ones, as forward_batch does on a batch of one chunk."""
         x = as_matrix(features)
         if x.shape[1] != self.config.input_dim:
             raise DataError(
@@ -290,15 +290,16 @@ class Model:
         frame_acts = []
         h = x
         for block in self.frame_blocks:
-            h = block.forward(h, train)
+            h = block.affine.forward(block.splice.forward(h), train)
+            h = block.bn.forward(block.act.forward(h, train), train)
             frame_acts.append(h)
         values = frame_acts[-1]
         attention = None
         if isinstance(self.pool, StatsPool):
-            pooled = self.pool.forward(values, train)
+            pooled, _ = self.pool.pool(values)
         else:
-            keys = frame_acts[self.config.effective_key_layer - 1]
-            pooled, attention = self.pool.forward(values, keys, train)
+            compat = self.pool.net.forward(frame_acts[self.config.effective_key_layer - 1], train)
+            pooled, attention, _ = self.pool.pool_from_compat(values, compat)
         z = pooled[None, :]
         preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
@@ -308,26 +309,6 @@ class Model:
         logits = self.classifier.forward(z, train)
         posteriors = self.softmax.forward(logits, train)
         return ForwardTrace(frame_acts, pooled, preacts, posteriors, attention)
-
-    def backward(self, d_posteriors: np.ndarray) -> np.ndarray:
-        """Backpropagate from the posterior gradient; accumulates parameter
-        gradients and returns the gradient w.r.t. the input features."""
-        g = self.softmax.backward(d_posteriors)
-        g = self.classifier.backward(g)
-        for affine, act in zip(reversed(self.utt_affines), reversed(self.utt_acts)):
-            g = affine.backward(act.backward(g))
-        d_pooled = g[0]
-        d_keys = None
-        if isinstance(self.pool, StatsPool):
-            g = self.pool.backward(d_pooled)
-        else:
-            g, d_keys = self.pool.backward(d_pooled)
-        key_idx = self.config.effective_key_layer - 1
-        for layer in reversed(range(len(self.frame_blocks))):
-            if d_keys is not None and layer == key_idx:
-                g = g + d_keys
-            g = self.frame_blocks[layer].backward(g)
-        return g
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.

@@ -2,8 +2,7 @@
 
 Everything operates on float64 matrices whose rows index time and whose
 columns index features. Layers cache the activations they need for the
-backward pass only when ``train=True``; inference-mode forwards are pure
-and therefore safe to run concurrently on a shared model.
+backward pass only when ``train=True``; inference-mode forwards are pure.
 """
 
 from __future__ import annotations
@@ -206,27 +205,18 @@ class Splice:
         if 0 not in offsets:
             raise ConfigError(f"splice offsets must contain 0, got {offsets}")
         self.offsets = offsets
-        self._cache = None
         self._batch_cache = None
 
     @property
     def width_multiplier(self) -> int:
         return len(self.offsets)
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Splice one T x d utterance; caches nothing (the backward pass is
+        batched only)."""
         t, d = x.shape
         idx = np.clip(np.arange(t)[:, None] + np.asarray(self.offsets), 0, t - 1)
-        if train:
-            self._cache = (idx, t, d)
         return x[idx].reshape(t, len(self.offsets) * d)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("splice backward called before a train-mode forward")
-        (idx, t, d), self._cache = self._cache, None
-        dx = np.zeros((t, d))
-        np.add.at(dx, idx.ravel(), grad_out.reshape(t * len(self.offsets), d))
-        return dx
 
     def forward_batch(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Splice a (B, T, d) stack of equal-length chunks, each clamped at

@@ -7,7 +7,10 @@ variants derive them from a softmax over per-frame query/key compatibility
 scores. The multi-head variant splits values, compatibility outputs and
 query into h contiguous sub-vectors, pools each independently and
 concatenates means-first, so the output layout and length match the single
-head case.
+head case; single-head attention is the multi-head pool with h=1.
+
+Pooling is stateless: each pooling call returns a cache that the matching
+backward call takes back, so one pool serves every chunk of a batch.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ def _weighted_stats_backward(cache, d_mean: np.ndarray, d_std: np.ndarray):
 class StatsPool:
     """Statistics pooling: uniform-weight mean and standard deviation."""
 
-    def __init__(self):
-        self._cache = None
-
     def pool(self, values: np.ndarray):
         """Stateless pooling; returns (pooled, cache)."""
         t = values.shape[0]
@@ -66,42 +66,6 @@ class StatsPool:
         d = grad_out.shape[0] // 2
         d_values, _ = _weighted_stats_backward(cache, grad_out[:d], grad_out[d:])
         return d_values
-
-    def forward(self, values: np.ndarray, train: bool = False) -> np.ndarray:
-        out, cache = self.pool(values)
-        if train:
-            self._cache = cache
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("pooling backward called before a train-mode forward")
-        cache, self._cache = self._cache, None
-        return self.pool_backward(cache, grad_out)
-
-
-class AttentionPool:
-    """Single-head attention pooling over precomputed per-frame logits."""
-
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, values: np.ndarray, logits: np.ndarray, train: bool = False):
-        alpha = softmax_rows(np.asarray(logits, dtype=np.float64)[None, :])[0]
-        out, cache = _weighted_stats(values, alpha)
-        if train:
-            self._cache = cache
-        return out, alpha
-
-    def backward(self, grad_out: np.ndarray):
-        if self._cache is None:
-            raise RuntimeError("pooling backward called before a train-mode forward")
-        cache, self._cache = self._cache, None
-        alpha = cache[0]
-        d = grad_out.shape[0] // 2
-        d_values, d_alpha = _weighted_stats_backward(cache, grad_out[:d], grad_out[d:])
-        d_logits = alpha * (d_alpha - float(alpha @ d_alpha))
-        return d_values, d_logits
 
 
 class CompatibilityNet:
@@ -164,7 +128,6 @@ class MultiHeadPool:
         self.net = net
         self.query = query
         self.heads = heads
-        self._cache = None
 
     def parameters(self) -> list[Parameter]:
         return self.net.parameters() + [self.query]
@@ -214,54 +177,3 @@ class MultiHeadPool:
             self.query.grad[i * dqh : (i + 1) * dqh] += compat[:, i * dqh : (i + 1) * dqh].T @ d_logits
             d_compat[:, i * dqh : (i + 1) * dqh] = np.outer(d_logits, q_i)
         return d_values, d_compat
-
-    def forward(self, values: np.ndarray, keys: np.ndarray, train: bool = False):
-        compat = self.net.forward(keys, train)
-        pooled, weights, cache = self.pool_from_compat(values, compat)
-        if train:
-            self._cache = cache
-        return pooled, weights
-
-    def backward(self, grad_out: np.ndarray):
-        if self._cache is None:
-            raise RuntimeError("pooling backward called before a train-mode forward")
-        cache, self._cache = self._cache, None
-        d_values, d_compat = self.backward_from_compat(cache, grad_out)
-        return d_values, self.net.backward(d_compat)
-
-
-def stats_pool(values: np.ndarray) -> np.ndarray:
-    """Pooled [mean; std] with uniform frame weights."""
-    return StatsPool().forward(np.asarray(values, dtype=np.float64))
-
-
-def attention_logits(
-    keys: np.ndarray, net: CompatibilityNet, query: np.ndarray, train: bool = False
-) -> np.ndarray:
-    """Per-frame scores: dot(query, compat(key_t)). No scaling is applied."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (net.out_dim,):
-        raise ConfigError(
-            f"query length {query.shape[0] if query.ndim else 0} does not match "
-            f"compatibility output {net.out_dim}"
-        )
-    return net.forward(np.asarray(keys, dtype=np.float64), train) @ query
-
-
-def attention_pool(values: np.ndarray, logits: np.ndarray):
-    """Single-head attention pooling; returns (pooled vector, 1 x T weights)."""
-    out, alpha = AttentionPool().forward(np.asarray(values, dtype=np.float64), logits)
-    return out, alpha[None, :]
-
-
-def multihead_pool(
-    values: np.ndarray,
-    keys: np.ndarray,
-    net: CompatibilityNet,
-    query: Parameter,
-    heads: int,
-    train: bool = False,
-):
-    """Multi-head attention pooling; returns (pooled vector, h x T weights)."""
-    pool = MultiHeadPool(net, query, heads)
-    return pool.forward(np.asarray(values, dtype=np.float64), np.asarray(keys, dtype=np.float64), train)

@@ -1,8 +1,9 @@
 """Training loop, optimizers and the finite-difference gradient checker.
 
-Each utterance contributes one random chunk per epoch; chunks are forwarded
-one at a time (the network pools over a single utterance) and their
-gradients are averaged before the optimizer step.
+Each utterance contributes one random chunk per epoch. A batch of chunks
+is forwarded and backpropagated as one (batch norm statistics span the
+batch, pooling and the loss stay per chunk); the loss, and so the gradient,
+is the mean over the chunks.
 """
 
 from __future__ import annotations
@@ -207,12 +208,16 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
 
 # -- gradient checking --------------------------------------------------------
 
-GRADCHECK_EPS = 1e-5
+# A step of 1e-5 straddled a leaky-ReLU kink on some seeds (gradcheck
+# --pooling multihead --seed 46; every kind at --seed 261) and measured a
+# blend of two slopes; a step ten times smaller crosses a kink ten times
+# less often.
+GRADCHECK_EPS = 1e-6
 GRADCHECK_THRESHOLD = 1e-4
-# Central differences carry rounding noise of ulp(loss)/2eps ~ 5e-12, so for
-# gradients below ~5e-8 (including the exactly-zero ones softmax shift
+# Central differences carry rounding noise of ulp(loss)/2eps ~ 5e-11, so for
+# gradients below ~5e-7 (including the exactly-zero ones softmax shift
 # invariance produces) the relative test compares noise against noise.
-# Absolute disagreements under this floor, 100x the noise, count as agreement.
+# Absolute disagreements under this floor, 20x the noise, count as agreement.
 GRADCHECK_ATOL = 1e-9
 
 
@@ -251,8 +256,13 @@ def check_model_gradients(model: Model, features: np.ndarray, label: int,
                           eps: float = GRADCHECK_EPS,
                           threshold: float = GRADCHECK_THRESHOLD) -> GradCheckReport:
     """Compare the analytic gradient of the cross entropy against central
-    differences for every scalar parameter. Batch-norm running statistics
-    are snapshotted and restored so the check leaves the model untouched.
+    differences for every scalar parameter.
+
+    The analytic gradient comes from the batched backward pass that training
+    runs, on a batch of one chunk; the differences come from the
+    single-utterance forward, so the check also ties that forward to the
+    training path. Batch-norm running statistics are snapshotted and
+    restored so the check leaves the model untouched.
     """
     labels = np.array([label])
     snapshot = [array.copy() for _, array in model.state_arrays()]
@@ -262,11 +272,10 @@ def check_model_gradients(model: Model, features: np.ndarray, label: int,
         return cross_entropy(trace.posteriors, labels)
 
     model.zero_grad()
-    trace = model.forward(features, train=True)
-    base = cross_entropy(trace.posteriors, labels)
-    if not np.isfinite(base):
+    posteriors, cache = model.forward_batch(np.asarray(features)[None], train=True)
+    if not np.isfinite(cross_entropy(posteriors, labels)):
         raise TrainingError("non-finite loss in gradient check")
-    model.backward(cross_entropy_backward(trace.posteriors, labels))
+    model.backward_batch(cross_entropy_backward(posteriors, labels), cache)
     analytic = {p.name: p.grad.copy() for p in model.parameters()}
 
     entries = []

@@ -1,13 +1,18 @@
-"""Shared test utilities: an independent central-difference gradient oracle
-and an exact-rational detection-metric oracle.
+"""Shared test utilities: an independent central-difference gradient oracle,
+an exact-rational detection-metric oracle and a plain-NumPy single-head
+attention pooling reference, plus the package's single-head pool over given
+logits that the pooling checks exercise.
 
-Deliberately separate from the package's own implementations so the two
-routes can vouch for each other.
+The oracles are deliberately separate from the package's own
+implementations so the two routes can vouch for each other.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from xvec.nn import Parameter
+from xvec.pooling import EPS_VAR, CompatibilityNet, MultiHeadPool
 
 FD_EPS = 1e-5
 FD_THRESHOLD = 1e-4
@@ -43,6 +48,29 @@ def assert_grads_close(analytic, numeric, threshold=FD_THRESHOLD, atol=FD_ATOL, 
         rel = abs(a[i] - n[i]) / max(abs(a[i]), abs(n[i]), 1e-8)
         assert rel < threshold, (
             f"{what} element {i}: analytic {a[i]!r}, numeric {n[i]!r}, rel err {rel:.3e}")
+
+
+# -- single-head attention pooling -------------------------------------------
+
+
+def logit_pool():
+    """Single-head attention pooling over given per-frame logits, as the
+    package has it: MultiHeadPool with h=1 and the query [1]. Fed the logits
+    as a one-column compatibility matrix, compat @ query reproduces them
+    exactly, and d_compat from backward_from_compat is the logit gradient."""
+    net = CompatibilityNet.build(np.random.default_rng(0), 1, [1])
+    return MultiHeadPool(net, Parameter("query", np.ones(1)), heads=1)
+
+
+def reference_attention_pool(values, logits):
+    """Plain-NumPy single-head pooling: softmax weights, then the weighted
+    [mean; std] with the package's variance floor. Returns (pooled, weights)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    w = np.exp(logits - logits.max())
+    w = w / w.sum()
+    mean = w @ values
+    std = np.sqrt(w @ (values - mean) ** 2 + EPS_VAR)
+    return np.concatenate([mean, std]), w
 
 
 # -- detection-metric oracle (exact rational arithmetic) -----------------------

@@ -10,8 +10,9 @@ import time
 
 import numpy as np
 import pytest
-from helpers import (FD_ATOL, assert_grads_close, numeric_grad, oracle_eer,
-                     oracle_min_dcf, random_score_set)
+from helpers import (FD_ATOL, assert_grads_close, logit_pool, numeric_grad,
+                     oracle_eer, oracle_min_dcf, random_score_set,
+                     reference_attention_pool)
 
 from xvec.cli import main
 from xvec.data import SynthConfig, gen_synthetic
@@ -20,7 +21,7 @@ from xvec.evaluation import (DCF08, DCF10, attention_trajectory, compute_eer,
                              make_trials, mean_gate_correlation, score_trials)
 from xvec.model import FrameLayerSpec, ModelConfig, build_model
 from xvec.nn import Affine, BatchNorm, LeakyReLU, Parameter, Splice
-from xvec.pooling import AttentionPool, CompatibilityNet, MultiHeadPool, StatsPool
+from xvec.pooling import CompatibilityNet, MultiHeadPool, StatsPool
 from xvec.train import TrainConfig, check_model_gradients, train
 
 GRAD_THRESHOLD = 1e-4       # max FD relative error, every parameter
@@ -104,38 +105,39 @@ def test_criterion_1_gradient_suite():
     track(bn.beta.grad, numeric_grad(fn, bn.beta.value), "batch_norm.beta")
     track(dx, numeric_grad(fn, x), "batch_norm.x")
 
-    # splice
-    x = rng.standard_normal((6, 3))
+    # splice, on a batch of one chunk
+    x = rng.standard_normal((1, 6, 3))
     sp = Splice((-2, 0, 1))
-    c_sp = rng.standard_normal((6, 9))
-    sp.forward(x, train=True)
-    dx = sp.backward(c_sp)
-    track(dx, numeric_grad(lambda: float(np.sum(c_sp * sp.forward(x))), x), "splice.x")
+    c_sp = rng.standard_normal((1, 6, 9))
+    sp.forward_batch(x, train=True)
+    dx = sp.backward_batch(c_sp)
+    track(dx, numeric_grad(lambda: float(np.sum(c_sp * sp.forward_batch(x))), x), "splice.x")
 
     # stats pooling
     values = rng.standard_normal((7, 6))
     c_pool = rng.standard_normal(12)
     pool = StatsPool()
-    pool.forward(values, train=True)
-    dv = pool.backward(c_pool)
-    track(dv, numeric_grad(lambda: float(c_pool @ pool.forward(values)), values), "stats_pool.values")
+    dv = pool.pool_backward(pool.pool(values)[1], c_pool)
+    track(dv, numeric_grad(lambda: float(c_pool @ pool.pool(values)[0]), values), "stats_pool.values")
 
-    # attention pooling over explicit logits
+    # attention pooling over explicit logits: one head, query [1], the
+    # logits as a one-column compatibility output
     logits = rng.standard_normal(7)
-    att = AttentionPool()
-    att.forward(values, logits, train=True)
-    dv, dl = att.backward(c_pool)
-    track(dv, numeric_grad(lambda: float(c_pool @ att.forward(values, logits)[0]), values), "attention.values")
-    track(dl, numeric_grad(lambda: float(c_pool @ att.forward(values, logits)[0]), logits), "attention.logits")
+    att = logit_pool()
+    dv, d_compat = att.backward_from_compat(att.pool_from_compat(values, logits[:, None])[2], c_pool)
+    fn = lambda: float(c_pool @ att.pool_from_compat(values, logits[:, None])[0])
+    track(dv, numeric_grad(fn, values), "attention.values")
+    track(d_compat[:, 0], numeric_grad(fn, logits), "attention.logits")
+    track(att.query.grad, numeric_grad(fn, att.query.value), "attention.query")
 
     # multihead pooling including its compatibility net and query
     keys = rng.standard_normal((7, 6))
     net = CompatibilityNet.build(rng, 6, [4])
     query = Parameter("q", rng.standard_normal(4) * 0.1)
     mh = MultiHeadPool(net, query, heads=2)
-    mh.forward(values, keys, train=True)
-    dv, dk = mh.backward(c_pool)
-    fn = lambda: float(c_pool @ mh.forward(values, keys, train=True)[0])
+    dv, d_compat = mh.backward_from_compat(mh.pool_from_compat(values, net.forward(keys, train=True))[2], c_pool)
+    dk = net.backward(d_compat)
+    fn = lambda: float(c_pool @ mh.pool_from_compat(values, net.forward(keys, train=True))[0])
     track(dv, numeric_grad(fn, values), "multihead.values")
     track(dk, numeric_grad(fn, keys), "multihead.keys")
     track(query.grad, numeric_grad(fn, query.value), "multihead.query")
@@ -174,25 +176,33 @@ def test_criterion_2_pooling_equivalences():
     values = rng.standard_normal((7, 6))
     keys = rng.standard_normal((7, 6))
 
-    att_const, _ = AttentionPool().forward(values, np.full(7, 3.7))
-    stats = StatsPool().forward(values)
+    # single-head attention over given logits is the h=1 pool with query [1]
+    def att(logits):
+        return logit_pool().pool_from_compat(values, np.asarray(logits)[:, None])[0]
+
+    att_const = att(np.full(7, 3.7))
+    stats, _ = StatsPool().pool(values)
     np.testing.assert_allclose(att_const, stats, rtol=0, atol=EQUIV_EXACT)
+    reference_const, _ = reference_attention_pool(values, np.full(7, 3.7))
+    np.testing.assert_allclose(reference_const, stats, rtol=0, atol=EQUIV_EXACT)
 
     net = CompatibilityNet.build(rng, 6, [4])
     query = Parameter("q", rng.standard_normal(4) * 0.1)
-    pooled_mh, _ = MultiHeadPool(net, query, heads=1).forward(values, keys)
-    logits = net.forward(keys) @ query.value
-    pooled_single, _ = AttentionPool().forward(values, logits)
+    compat = net.forward(keys)
+    pooled_mh, _, _ = MultiHeadPool(net, query, heads=1).pool_from_compat(values, compat)
+    logits = compat @ query.value
+    pooled_single, _ = reference_attention_pool(values, logits)
     np.testing.assert_allclose(pooled_mh, pooled_single, rtol=0, atol=EQUIV_EXACT)
+    np.testing.assert_allclose(att(logits), pooled_single, rtol=0, atol=EQUIV_EXACT)
 
-    base, _ = AttentionPool().forward(values, logits)
-    shifted, _ = AttentionPool().forward(values, logits + 250.0)
+    base = att(logits)
+    shifted = att(logits + 250.0)
     np.testing.assert_allclose(shifted, base, rtol=0, atol=EQUIV_INVARIANT)
 
     mh2 = MultiHeadPool(net, query, heads=2)
-    pooled_a, _ = mh2.forward(values, keys)
+    pooled_a, _, _ = mh2.pool_from_compat(values, net.forward(keys))
     perm = rng.permutation(7)
-    pooled_b, _ = mh2.forward(values[perm], keys[perm])
+    pooled_b, _, _ = mh2.pool_from_compat(values[perm], net.forward(keys[perm]))
     np.testing.assert_allclose(pooled_b, pooled_a, rtol=0, atol=EQUIV_INVARIANT)
 
     print(f"criterion 2 PASS: equivalences within {EQUIV_EXACT:g}, "

@@ -26,7 +26,6 @@ from xvec.evaluation import (
     read_trials,
     score_trials,
     write_enroll_map,
-    write_metrics,
     write_scores,
     write_trajectory,
     write_trials,
@@ -367,16 +366,14 @@ class TestFileFormats:
         with pytest.raises(DataError, match="label"):
             join_scores_with_trials({("s1", "u1"): 0.9}, [Trial("s1", "u1", None)])
 
-    def test_metrics_json_sorted_and_extended(self, tmp_path):
+    def test_metrics_json_sorted_and_extended(self):
         report = MetricsReport(0.1, 0.2, 0.3, 10, 5, 5)
         text = metrics_json(report, extra={"min_dcf_custom": 0.4})
         import json
         parsed = json.loads(text)
         assert parsed["min_dcf_custom"] == 0.4
         assert list(parsed) == sorted(parsed)
-        path = tmp_path / "metrics.json"
-        write_metrics(path, report)
-        assert json.loads(path.read_text())["eer"] == 0.1
+        assert json.loads(metrics_json(report))["eer"] == 0.1
 
     def test_trajectory_file(self, tmp_path):
         path = tmp_path / "traj.tsv"

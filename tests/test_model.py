@@ -13,7 +13,7 @@ from xvec.model import (
     load_model,
     save_model,
 )
-from xvec.pooling import MultiHeadPool, StatsPool, stats_pool
+from xvec.pooling import StatsPool
 from xvec.train import check_model_gradients
 
 
@@ -238,7 +238,7 @@ class TestForward:
             model = build_model(tiny_config(pooling), seed=7)
             model.pool.query.value *= 1e-3
             trace = model.forward(x)
-            reference = stats_pool(trace.frame_activations[-1])
+            reference, _ = StatsPool().pool(trace.frame_activations[-1])
             rel = np.abs(trace.pooled - reference) / np.maximum(np.abs(reference), 1e-8)
             assert rel.max() < 1e-2
             assert trace.attention.max() < 0.5  # nothing collapses to one frame

@@ -202,8 +202,8 @@ class TestSplice:
         g3 = rng.standard_normal(out.shape)
         dx = sp.backward_batch(g3)
         for i in range(4):
-            sp.forward(x3[i], train=True)
-            np.testing.assert_array_equal(dx[i], sp.backward(g3[i]))
+            sp.forward_batch(x3[i : i + 1], train=True)
+            np.testing.assert_array_equal(dx[i], sp.backward_batch(g3[i : i + 1])[0])
 
     def test_batch_backward_requires_forward(self):
         sp = Splice((0,))
@@ -236,14 +236,14 @@ class TestSplice:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             layer = Splice((-2, 0, 1))
-            x = rng.standard_normal((5, 2))
-            r = rng.standard_normal((5, 6))
+            x = rng.standard_normal((2, 5, 2))
+            r = rng.standard_normal((2, 5, 6))
 
             def loss():
-                return float(np.sum(layer.forward(x, train=False) * r))
+                return float(np.sum(layer.forward_batch(x, train=False) * r))
 
-            layer.forward(x, train=True)
-            dx = layer.backward(r)
+            layer.forward_batch(x, train=True)
+            dx = layer.backward_batch(r)
             assert_grads_close(dx, numeric_grad(loss, x), what="input")
 
 

@@ -1,20 +1,27 @@
 import numpy as np
 import pytest
-from helpers import assert_grads_close, numeric_grad
+from helpers import assert_grads_close, logit_pool, numeric_grad, reference_attention_pool
 
 from xvec.errors import ConfigError
-from xvec.nn import Parameter
-from xvec.pooling import (
-    EPS_VAR,
-    AttentionPool,
-    CompatibilityNet,
-    MultiHeadPool,
-    StatsPool,
-    attention_logits,
-    attention_pool,
-    multihead_pool,
-    stats_pool,
-)
+from xvec.nn import Parameter, softmax_rows
+from xvec.pooling import EPS_VAR, CompatibilityNet, MultiHeadPool, StatsPool
+
+
+def stats_pool(values):
+    return StatsPool().pool(values)[0]
+
+
+def attention_pool(values, logits):
+    """Single-head pooling over given logits; returns (pooled, 1 x T weights)."""
+    out, weights, _ = logit_pool().pool_from_compat(values, np.asarray(logits, dtype=np.float64)[:, None])
+    return out, weights
+
+
+def attention_weights(keys, net, query):
+    """Single-head weights softmax(compat(keys) @ query), as MultiHeadPool
+    computes them (infer mode); the values do not enter the weights."""
+    pool = MultiHeadPool(net, Parameter("query", np.asarray(query, dtype=np.float64)), heads=1)
+    return pool.pool_from_compat(np.zeros((keys.shape[0], 1)), net.forward(keys))[1][0]
 
 
 def _identity_net(dim):
@@ -50,17 +57,24 @@ class TestStatsPool:
             pool = StatsPool()
 
             def loss():
-                return float(pool.forward(values, train=False) @ r)
+                return float(pool.pool(values)[0] @ r)
 
-            pool.forward(values, train=True)
-            d_values = pool.backward(r)
+            _, cache = pool.pool(values)
+            d_values = pool.pool_backward(cache, r)
             assert_grads_close(d_values, numeric_grad(loss, values), what="values")
 
-    def test_backward_requires_train_forward(self):
+    def test_backward_uses_the_given_cache(self):
+        # the pool keeps no state: pooling another input in between must not
+        # change the gradient of the first
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((5, 3)), rng.standard_normal((4, 3))
+        r = rng.standard_normal(6)
         pool = StatsPool()
-        pool.forward(np.ones((3, 2)), train=False)
-        with pytest.raises(RuntimeError):
-            pool.backward(np.ones(4))
+        _, cache_a = pool.pool(a)
+        alone = pool.pool_backward(cache_a, r)
+        _, cache_a = pool.pool(a)
+        pool.pool(b)
+        np.testing.assert_array_equal(pool.pool_backward(cache_a, r), alone)
 
 
 class TestAttentionPool:
@@ -109,43 +123,45 @@ class TestAttentionPool:
             values = rng.standard_normal((5, 3))
             logits = rng.standard_normal(5)
             r = rng.standard_normal(6)
-            pool = AttentionPool()
+            pool = logit_pool()
 
             def loss():
-                return float(pool.forward(values, logits, train=False)[0] @ r)
+                return float(attention_pool(values, logits)[0] @ r)
 
-            pool.forward(values, logits, train=True)
-            d_values, d_logits = pool.backward(r)
+            _, _, cache = pool.pool_from_compat(values, logits[:, None])
+            d_values, d_compat = pool.backward_from_compat(cache, r)
             assert_grads_close(d_values, numeric_grad(loss, values), what="values")
-            assert_grads_close(d_logits, numeric_grad(loss, logits), what="logits")
+            assert_grads_close(d_compat[:, 0], numeric_grad(loss, logits), what="logits")
 
 
 class TestAttentionLogits:
+    """The logits are compat(keys) @ query; they show in the weights."""
+
     def test_zero_query(self):
         net = _identity_net(3)
-        logits = attention_logits(np.random.default_rng(0).uniform(1, 2, (4, 3)), net, np.zeros(3))
-        np.testing.assert_array_equal(logits, np.zeros(4))
+        weights = attention_weights(np.random.default_rng(0).uniform(1, 2, (4, 3)), net, np.zeros(3))
+        np.testing.assert_array_equal(weights, np.full(4, 0.25))
 
     def test_identity_net_projects_first_key_column(self):
         net = _identity_net(3)
         keys = np.random.default_rng(1).uniform(0.5, 2.0, (5, 3))
-        logits = attention_logits(keys, net, np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(logits, keys[:, 0], rtol=1e-4)
+        weights = attention_weights(keys, net, np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(weights, softmax_rows(keys[:, 0]), rtol=1e-4)
 
     def test_matches_per_frame_recompute(self):
         rng = np.random.default_rng(2)
         net = CompatibilityNet.build(rng, 4, [6, 3])
         query = rng.standard_normal(3)
         keys = rng.standard_normal((3, 4))
-        logits = attention_logits(keys, net, query)
+        weights = attention_weights(keys, net, query)
         # infer-mode batch norm acts per column, so frame-by-frame agrees
         expected = [float(net.forward(keys[t : t + 1])[0] @ query) for t in range(3)]
-        np.testing.assert_allclose(logits, expected, rtol=1e-12)
+        np.testing.assert_allclose(weights, softmax_rows(np.array(expected)), rtol=1e-12)
 
     def test_query_length_mismatch(self):
         net = _identity_net(3)
         with pytest.raises(ConfigError):
-            attention_logits(np.ones((2, 3)), net, np.ones(4))
+            attention_weights(np.ones((2, 3)), net, np.ones(4))
 
 
 class TestMultiHeadPool:
@@ -155,16 +171,22 @@ class TestMultiHeadPool:
         query = Parameter("query", rng.normal(0.0, np.sqrt(1.0 / d_q), d_q))
         return MultiHeadPool(net, query, heads)
 
+    @staticmethod
+    def _pool(pool, values, keys, train=False):
+        """Compatibility net over the keys, then head-split pooling."""
+        out, weights, _ = pool.pool_from_compat(values, pool.net.forward(keys, train))
+        return out, weights
+
     def test_single_head_equals_attention_pool(self):
         rng = np.random.default_rng(21)
         values = rng.standard_normal((6, 4))
         keys = rng.standard_normal((6, 3))
         pool = self._build(rng, 3, [5, 4], heads=1)
-        out, weights = pool.forward(values, keys)
-        logits = attention_logits(keys, pool.net, pool.query.value)
-        expected, expected_w = attention_pool(values, logits)
+        out, weights = self._pool(pool, values, keys)
+        logits = pool.net.forward(keys) @ pool.query.value
+        expected, expected_w = reference_attention_pool(values, logits)
         np.testing.assert_allclose(out, expected, atol=1e-12)
-        np.testing.assert_allclose(weights, expected_w, atol=1e-12)
+        np.testing.assert_allclose(weights, expected_w[None, :], atol=1e-12)
 
     def test_constructed_heads(self):
         # head 1 uniform (zero query chunk), head 2 one-hot on frame 0
@@ -176,7 +198,7 @@ class TestMultiHeadPool:
                          [1.0, 1.0, 0.5, 0.5]])
         net = _identity_net(4)
         query = Parameter("query", np.array([0.0, 0.0, 1.0, 1.0]))
-        out, weights = MultiHeadPool(net, query, heads=2).forward(values, keys)
+        out, weights = self._pool(MultiHeadPool(net, query, heads=2), values, keys)
         np.testing.assert_allclose(weights[0], [1 / 3] * 3, rtol=1e-12)
         np.testing.assert_allclose(weights[1], [1.0, 0.0, 0.0], atol=1e-12)
         # compose the expectation from single-head pooling on each chunk
@@ -193,7 +215,7 @@ class TestMultiHeadPool:
         values = rng.standard_normal((5, 6))
         keys = rng.standard_normal((5, 4))
         pool = self._build(rng, 4, [6], heads=3)
-        out, weights = pool.forward(values, keys)
+        out, weights = self._pool(pool, values, keys)
         assert out.shape == (12,)
         assert weights.shape == (3, 5)
         np.testing.assert_allclose(weights.sum(axis=1), np.ones(3), atol=1e-9)
@@ -205,35 +227,25 @@ class TestMultiHeadPool:
         values = rng.standard_normal((7, 4))
         keys = rng.standard_normal((7, 3))
         pool = self._build(rng, 3, [5, 4], heads=2)
-        base, _ = pool.forward(values, keys)
+        base, _ = self._pool(pool, values, keys)
         perm = rng.permutation(7)
-        out, _ = pool.forward(values[perm], keys[perm])
+        out, _ = self._pool(pool, values[perm], keys[perm])
         np.testing.assert_allclose(out, base, atol=1e-9)
 
     def test_divisibility_errors(self):
         rng = np.random.default_rng(24)
         pool = self._build(rng, 3, [4], heads=3)  # d_q=4 not divisible by 3
         with pytest.raises(ConfigError):
-            pool.forward(np.ones((4, 6)), np.ones((4, 3)))
+            self._pool(pool, np.ones((4, 6)), np.ones((4, 3)))
         pool = self._build(rng, 3, [6], heads=3)  # d_v=4 not divisible by 3
         with pytest.raises(ConfigError):
-            pool.forward(np.ones((4, 4)), np.ones((4, 3)))
+            self._pool(pool, np.ones((4, 4)), np.ones((4, 3)))
 
     def test_query_length_guard(self):
         rng = np.random.default_rng(25)
         net = CompatibilityNet.build(rng, 3, [4])
         with pytest.raises(ConfigError):
             MultiHeadPool(net, Parameter("query", np.zeros(5)), heads=1)
-
-    def test_functional_wrapper_matches_class(self):
-        rng = np.random.default_rng(26)
-        values = rng.standard_normal((5, 4))
-        keys = rng.standard_normal((5, 3))
-        pool = self._build(rng, 3, [4], heads=2)
-        out1, w1 = pool.forward(values, keys)
-        out2, w2 = multihead_pool(values, keys, pool.net, pool.query, heads=2)
-        np.testing.assert_array_equal(out1, out2)
-        np.testing.assert_array_equal(w1, w2)
 
     def test_gradients_h2(self):
         for seed in range(10):
@@ -248,12 +260,13 @@ class TestMultiHeadPool:
             def loss():
                 for (mean, var), (_, _, bn) in zip(bn_state, pool.net.blocks):
                     bn.running_mean[...], bn.running_var[...] = mean, var
-                return float(pool.forward(values, keys, train=True)[0] @ r)
+                return float(self._pool(pool, values, keys, train=True)[0] @ r)
 
             for p in pool.parameters():
                 p.zero_grad()
-            pool.forward(values, keys, train=True)
-            d_values, d_keys = pool.backward(r)
+            _, _, cache = pool.pool_from_compat(values, pool.net.forward(keys, train=True))
+            d_values, d_compat = pool.backward_from_compat(cache, r)
+            d_keys = pool.net.backward(d_compat)
             assert_grads_close(d_values, numeric_grad(loss, values), what="values")
             assert_grads_close(d_keys, numeric_grad(loss, keys), what="keys")
             assert_grads_close(pool.query.grad, numeric_grad(loss, pool.query.value), what="query")

@@ -325,14 +325,14 @@ class TestGradCheckHarness:
     def test_detects_corrupted_gradient(self):
         model = tiny_model()
         x = np.random.default_rng(10).standard_normal((5, 4))
-        original = model.backward
+        original = model.backward_batch
 
-        def corrupted(d_posteriors):
-            out = original(d_posteriors)
+        def corrupted(d_posteriors, cache):
+            out = original(d_posteriors, cache)
             model.classifier.weight.grad *= 1.01
             return out
 
-        model.backward = corrupted
+        model.backward_batch = corrupted
         report = check_model_gradients(model, x, label=0)
         assert not report.passed
         assert report.worst == "classifier.weight"
