@@ -3,8 +3,8 @@ gradcheck.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data or file
 format error, 3 numeric failure. A run config is a single JSON object with
-optional "model", "synth", "trials" and "train" sections; unknown keys are
-rejected everywhere so typos fail loudly.
+optional "model", "synth", "trials" and "train" sections; unknown keys and
+wrongly typed values are rejected everywhere so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -13,18 +13,19 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import data, evaluation
+from .config import from_json
 from .errors import ConfigError, TrainingError, XvecError
 from .model import FrameLayerSpec, ModelConfig, build_model, load_model, save_model
 from .train import TrainConfig, check_model_gradients, train
 
 log = logging.getLogger(__name__)
 
-RUN_CONFIG_SECTIONS = ("model", "synth", "trials", "train")
 POOLING_FLAGS = {"stats": "stats", "att": "attention", "multihead": "multihead"}
 
 
@@ -36,18 +37,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def load_run_config(path) -> dict:
+@dataclass
+class SynthSection:
+    train: data.SynthConfig
+    eval: data.SynthConfig | None = None
+
+
+@dataclass
+class TrialsSection:
+    enroll_per_speaker: int = 0
+    seed: int = 0
+
+
+@dataclass
+class RunConfig:
+    # model and train are typed once the command has applied its defaults and flags
+    model: dict | None = None
+    synth: SynthSection | None = None
+    trials: TrialsSection = field(default_factory=TrialsSection)
+    train: dict = field(default_factory=dict)
+
+
+def load_run_config(path) -> RunConfig:
     try:
         with open(path) as f:
             raw = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(raw) - set(RUN_CONFIG_SECTIONS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key '{sorted(unknown)[0]}'")
-    return raw
+    return from_json(RunConfig, raw, str(path))
 
 
 def parse_compat(text: str) -> list:
@@ -66,21 +83,10 @@ def parse_compat(text: str) -> list:
 
 def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
-    synth = cfg.get("synth")
-    if not isinstance(synth, dict) or "train" not in synth:
-        raise ConfigError(f"{args.config}: gen-data needs a 'synth' section with a 'train' entry")
-    unknown = set(synth) - {"train", "eval"}
-    if unknown:
-        raise ConfigError(f"{args.config}: synth: unknown key '{sorted(unknown)[0]}'")
-    train_cfg = data.SynthConfig.from_dict(dict(synth["train"]))
-    eval_cfg = data.SynthConfig.from_dict(dict(synth["eval"])) if "eval" in synth else None
-
-    trials_cfg = cfg.get("trials", {})
-    unknown = set(trials_cfg) - {"enroll_per_speaker", "seed"}
-    if unknown:
-        raise ConfigError(f"{args.config}: trials: unknown key '{sorted(unknown)[0]}'")
-    enroll_per_speaker = int(trials_cfg.get("enroll_per_speaker", 0))
-    trials_seed = int(trials_cfg.get("seed", 0))
+    if cfg.synth is None:
+        raise ConfigError(f"{args.config}: gen-data needs a 'synth' section")
+    train_cfg, eval_cfg = cfg.synth.train, cfg.synth.eval
+    enroll_per_speaker, trials_seed = cfg.trials.enroll_per_speaker, cfg.trials.seed
 
     if args.seed is not None:
         train_cfg.seed = args.seed
@@ -111,11 +117,11 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    if "model" not in cfg:
+    if cfg.model is None:
         raise ConfigError(f"{args.config}: train needs a 'model' section")
     dataset = data.load_dataset(args.data)
 
-    model_dict = dict(cfg["model"])
+    model_dict = dict(cfg.model)
     model_dict.setdefault("input_dim", dataset.utterances[0].features.shape[1])
     model_dict.setdefault("num_speakers", dataset.num_speakers)
     if args.pooling is not None:
@@ -126,14 +132,14 @@ def cmd_train(args) -> int:
         model_dict["compat"] = parse_compat(args.compat)
     if args.heads is not None:
         model_dict["heads"] = args.heads
-    model_config = ModelConfig.from_dict(model_dict)
+    model_config = ModelConfig.from_dict(model_dict, f"{args.config}: model")
 
-    train_dict = dict(cfg.get("train", {}))
+    train_dict = dict(cfg.train)
     if args.seed is not None:
         train_dict["seed"] = args.seed
     if args.epochs is not None:
         train_dict["epochs"] = args.epochs
-    train_config = TrainConfig.from_dict(train_dict)
+    train_config = TrainConfig.from_dict(train_dict, f"{args.config}: train")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,9 +226,9 @@ def _tiny_config(pooling: str) -> ModelConfig:
 def cmd_gradcheck(args) -> int:
     if args.config:
         cfg = load_run_config(args.config)
-        if "model" not in cfg:
+        if cfg.model is None:
             raise ConfigError(f"{args.config}: gradcheck needs a 'model' section")
-        configs = [("model", ModelConfig.from_dict(dict(cfg["model"])))]
+        configs = [("model", ModelConfig.from_dict(cfg.model, f"{args.config}: model"))]
     else:
         kinds = list(POOLING_FLAGS) if args.pooling == "all" else [args.pooling]
         configs = [(kind, _tiny_config(POOLING_FLAGS[kind])) for kind in kinds]

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import from_json
 from .errors import ConfigError, DataError, FormatError
 
 log = logging.getLogger(__name__)
@@ -55,17 +56,11 @@ class SynthConfig:
             raise ConfigError(f"sigma: must be > 0, got {self.sigma}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"synth config: unknown key '{sorted(unknown)[0]}'")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+    def from_dict(cls, d: dict, where: str = "synth config") -> "SynthConfig":
+        return from_json(cls, d, where)
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+        return asdict(self)
 
 
 @dataclass
@@ -177,11 +172,13 @@ def read_features(path) -> np.ndarray:
 
 def write_embeddings(path, embeddings: dict) -> None:
     """Write utt_id -> vector pairs; float32 on disk like the features."""
+    ids = [utt_id.encode() for utt_id in embeddings]
+    if max(map(len, ids), default=0) > 0xFFFF:
+        raise DataError(f"{path}: an utterance id is longer than the 65535 bytes the format allows")
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<I", len(embeddings)))
-        for utt_id, vec in embeddings.items():
-            raw = utt_id.encode()
+        for raw, vec in zip(ids, embeddings.values()):
             v = np.ascontiguousarray(np.asarray(vec, dtype=np.float64), dtype="<f4")
             f.write(struct.pack("<H", len(raw)))
             f.write(raw)
@@ -202,6 +199,8 @@ def read_embeddings(path) -> dict:
             (id_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
             utt_id = blob[offset : offset + id_len].decode()
+            if utt_id in out:
+                raise FormatError(f"{path}: duplicate id '{utt_id}' at byte {offset}")
             offset += id_len
             (dim,) = struct.unpack_from("<I", blob, offset)
             offset += 4
@@ -212,6 +211,8 @@ def read_embeddings(path) -> dict:
         except (struct.error, UnicodeDecodeError) as e:
             raise FormatError(f"{path}: truncated or corrupt record at byte {offset}: {e}") from e
         out[utt_id] = vec
+    if offset != len(blob):
+        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")
     return out
 
 
@@ -254,12 +255,18 @@ def load_dataset(manifest_path, split: str = "train") -> Dataset:
                 raise FormatError(f"{gate_path}:{lineno}: expected 'utt_id<TAB>0/1 string'")
             gates[parts[0]] = np.frombuffer(parts[1].encode(), dtype=np.uint8) - ord("0")
     utterances = []
+    seen = {}  # utt_id -> manifest line
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 'utt_id<TAB>speaker<TAB>path'")
         utt_id, speaker, rel = parts
+        if seen.setdefault(utt_id, lineno) != lineno:
+            raise FormatError(f"{path}:{lineno}: duplicate utterance id '{utt_id}' (first on line {seen[utt_id]})")
         feats = read_features(root / rel)
+        if utterances and feats.shape[1] != utterances[0].features.shape[1]:
+            raise DataError(f"{path}:{lineno}: {rel} has {feats.shape[1]} feature columns, "
+                            f"line 1 has {utterances[0].features.shape[1]}")
         gate = gates.get(utt_id)
         if gate is not None and gate.shape[0] != feats.shape[0]:
             raise DataError(f"{utt_id}: gate length {gate.shape[0]} != {feats.shape[0]} frames")

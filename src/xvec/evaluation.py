@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +64,18 @@ def score_trials(embeddings: dict, trials: list, enroll_map: dict | None = None)
     segment id that has its own embedding also works.
     """
     models = enrollment_models(embeddings, enroll_map) if enroll_map else {}
+    unit = {utt_id: length_normalize(vec) for utt_id, vec in embeddings.items()}
     scored = []
     for trial in trials:
         if trial.enroll in models:
             enroll_vec = models[trial.enroll]
-        elif trial.enroll in embeddings:
-            enroll_vec = length_normalize(embeddings[trial.enroll])
+        elif trial.enroll in unit:
+            enroll_vec = unit[trial.enroll]
         else:
             raise DataError(f"trial enroll id '{trial.enroll}' not in enrollment map or embeddings")
-        if trial.test not in embeddings:
+        if trial.test not in unit:
             raise DataError(f"trial test segment '{trial.test}' has no embedding")
-        scored.append((trial, float(np.dot(enroll_vec, length_normalize(embeddings[trial.test])))))
+        scored.append((trial, float(np.dot(enroll_vec, unit[trial.test]))))
     return scored
 
 
@@ -146,14 +147,7 @@ class MetricsReport:
     num_nontarget: int
 
     def to_dict(self) -> dict:
-        return {
-            "eer": self.eer,
-            "min_dcf08": self.min_dcf08,
-            "min_dcf10": self.min_dcf10,
-            "num_trials": self.num_trials,
-            "num_target": self.num_target,
-            "num_nontarget": self.num_nontarget,
-        }
+        return asdict(self)
 
 
 def compute_metrics(scores, labels) -> MetricsReport:
@@ -279,7 +273,9 @@ def read_enroll_map(path) -> dict:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'speaker<TAB>segment'")
-        mapping.setdefault(parts[0], []).append(parts[1])
+        if parts[1] in mapping.setdefault(parts[0], []):
+            raise FormatError(f"{path}:{lineno}: segment '{parts[1]}' listed twice for speaker '{parts[0]}'")
+        mapping[parts[0]].append(parts[1])
     if not mapping:
         raise DataError(f"{path}: no enrollment entries")
     return mapping
@@ -303,6 +299,8 @@ def read_scores(path) -> dict:
             score = None
         if score is None or not np.isfinite(score):
             raise FormatError(f"{path}:{lineno}: expected 'enroll<TAB>test<TAB>score'")
+        if (parts[0], parts[1]) in out:
+            raise FormatError(f"{path}:{lineno}: duplicate score for ({parts[0]}, {parts[1]})")
         out[(parts[0], parts[1])] = score
     if not out:
         raise DataError(f"{path}: no scores")

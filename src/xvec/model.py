@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import from_json
 from .errors import ConfigError, DataError, FormatError
 from .nn import Affine, BatchNorm, LeakyReLU, Parameter, Softmax, Splice, as_matrix
 from .pooling import CompatibilityNet, MultiHeadPool, StatsPool
@@ -33,20 +34,8 @@ CHECKPOINT_MAGIC = b"XVM1"
 
 @dataclass
 class FrameLayerSpec:
-    offsets: tuple
+    offsets: tuple[int, ...]
     width: int
-
-    def to_dict(self) -> dict:
-        return {"offsets": list(self.offsets), "width": self.width}
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str) -> "FrameLayerSpec":
-        unknown = set(d) - {"offsets", "width"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown key '{sorted(unknown)[0]}'")
-        if "offsets" not in d or "width" not in d:
-            raise ConfigError(f"{where}: needs 'offsets' and 'width'")
-        return cls(offsets=tuple(int(o) for o in d["offsets"]), width=int(d["width"]))
 
 
 @dataclass
@@ -54,12 +43,12 @@ class ModelConfig:
     """Architecture description; see validate() for the invariants."""
 
     input_dim: int
-    frame_layers: list
+    frame_layers: tuple[FrameLayerSpec, ...]
     pooling: str = "stats"
     key_layer: int = 0  # 1-based; 0 means "last layer"
-    compat: list = field(default_factory=list)  # widths, last entry is d_q
+    compat: list[int] = field(default_factory=list)  # widths, last entry is d_q
     heads: int = 1
-    utterance_layers: list = field(default_factory=lambda: [512])
+    utterance_layers: list[int] = field(default_factory=lambda: [512])
     num_speakers: int = 2
     embedding_tap: int = 0
 
@@ -73,7 +62,7 @@ class ModelConfig:
 
     @property
     def query_dim(self) -> int:
-        return int(self.compat[-1]) if self.compat else 0
+        return self.compat[-1] if self.compat else 0
 
     @property
     def effective_key_layer(self) -> int:
@@ -124,53 +113,11 @@ class ModelConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "frame_layers": [s.to_dict() for s in self.frame_layers],
-            "pooling": self.pooling,
-            "key_layer": self.key_layer,
-            "compat": list(self.compat),
-            "heads": self.heads,
-            "utterance_layers": list(self.utterance_layers),
-            "num_speakers": self.num_speakers,
-            "embedding_tap": self.embedding_tap,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {
-            "input_dim",
-            "frame_layers",
-            "pooling",
-            "key_layer",
-            "compat",
-            "heads",
-            "utterance_layers",
-            "num_speakers",
-            "embedding_tap",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"model config: unknown key '{sorted(unknown)[0]}'")
-        for required in ("input_dim", "frame_layers"):
-            if required not in d:
-                raise ConfigError(f"model config: missing key '{required}'")
-        cfg = cls(
-            input_dim=int(d["input_dim"]),
-            frame_layers=tuple(
-                FrameLayerSpec.from_dict(s, f"frame_layers[{i}]")
-                for i, s in enumerate(d["frame_layers"])
-            ),
-            pooling=str(d.get("pooling", "stats")),
-            key_layer=int(d.get("key_layer", 0)),
-            compat=[int(w) for w in d.get("compat", [])],
-            heads=int(d.get("heads", 1)),
-            utterance_layers=[int(w) for w in d.get("utterance_layers", [512])],
-            num_speakers=int(d.get("num_speakers", 2)),
-            embedding_tap=int(d.get("embedding_tap", 0)),
-        )
-        cfg.validate()
-        return cfg
+    def from_dict(cls, d: dict, where: str = "model config") -> "ModelConfig":
+        return from_json(cls, d, where)
 
 
 @dataclass
@@ -422,9 +369,11 @@ def load_model(path) -> Model:
     if len(blob) < offset + config_len:
         raise FormatError(f"{path}: truncated config, need {offset + config_len} bytes, have {len(blob)}")
     try:
-        config = ModelConfig.from_dict(json.loads(blob[offset : offset + config_len]))
-    except json.JSONDecodeError as e:
+        config = from_json(ModelConfig, json.loads(blob[offset : offset + config_len]), f"{path}: config")
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise FormatError(f"{path}: invalid config JSON at byte {offset}: {e}") from e
+    except ConfigError as e:
+        raise FormatError(f"{e} (config at byte {offset})") from e
     offset += config_len
     model = build_model(config, seed=0)
     for name, array in model.state_arrays():

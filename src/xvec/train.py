@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import from_json
 from .data import Dataset, make_batches
 from .errors import ConfigError, DataError, TrainingError
 from .model import Model, save_model
@@ -64,16 +65,11 @@ class TrainConfig:
             raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"train config: unknown key '{sorted(unknown)[0]}'")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+    def from_dict(cls, d: dict, where: str = "train config") -> "TrainConfig":
+        return from_json(cls, d, where)
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+        return asdict(self)
 
 
 class Optimizer:

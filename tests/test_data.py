@@ -178,6 +178,29 @@ class TestEmbeddingFiles:
         with pytest.raises(FormatError, match="byte"):
             read_embeddings(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "e.xve"
+        write_embeddings(path, {f"u{i}": np.ones(4) for i in range(3)})
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(FormatError, match=f"7 trailing bytes at byte {size}"):
+            read_embeddings(path)
+
+    def test_duplicate_id(self, tmp_path):
+        path = tmp_path / "e.xve"
+        write_embeddings(path, {"u": np.ones(4), "v": np.ones(4)})
+        path.write_bytes(path.read_bytes().replace(b"v", b"u"))
+        with pytest.raises(FormatError, match="duplicate id 'u' at byte 33"):
+            read_embeddings(path)
+
+    def test_overlong_id_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "e.xve"
+        with pytest.raises(DataError, match="65535"):
+            write_embeddings(path, {"u": np.ones(4), "x" * 65536: np.ones(4)})
+        assert not path.exists()
+        write_embeddings(path, {"x" * 65535: np.ones(4)})
+        assert list(read_embeddings(path)) == ["x" * 65535]
+
 
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
@@ -238,6 +261,24 @@ class TestDatasetFiles:
         root.mkdir()
         (root / "manifest.tsv").write_text("u1 only-one-field\n")
         with pytest.raises(FormatError, match="manifest.tsv:1"):
+            load_dataset(root)
+
+    def test_duplicate_utterance_id(self, tmp_path):
+        root = tmp_path / "out"
+        write_dataset(gen_synthetic(small_config()), root)
+        lines = (root / "manifest.tsv").read_text().splitlines()
+        utt, _, rel = lines[0].split("\t")
+        lines.append(f"{utt}\ts0003\t{rel}")
+        (root / "manifest.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"manifest.tsv:{len(lines)}: duplicate utterance id '{utt}'"):
+            load_dataset(root)
+
+    def test_mixed_feature_dims(self, tmp_path):
+        root = tmp_path / "out"
+        write_dataset(gen_synthetic(small_config()), root)
+        rel = (root / "manifest.tsv").read_text().splitlines()[2].split("\t")[2]
+        write_features(root / rel, np.ones((25, 4)))
+        with pytest.raises(DataError, match="manifest.tsv:3: .* has 4 feature columns, line 1 has 5"):
             load_dataset(root)
 
 

@@ -336,6 +336,18 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=":1"):
             read_enroll_map(path)
 
+    def test_enroll_map_duplicate_entry(self, tmp_path):
+        path = tmp_path / "enroll.tsv"
+        path.write_text("s1\tu1\ns1\tu2\ns1\tu1\n")
+        with pytest.raises(FormatError, match=":3: segment 'u1' listed twice"):
+            read_enroll_map(path)
+
+    def test_scores_duplicate_pair(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("s1\tu1\t0.5\ns1\tu2\t0.1\ns1\tu1\t0.7\n")
+        with pytest.raises(FormatError, match=":3: duplicate score"):
+            read_scores(path)
+
     def test_scores_round_trip_exact(self, tmp_path):
         scored = [(Trial("s1", "u1", True), 0.1 + 0.2),
                   (Trial("s2", "u2", False), -1.0 / 3.0)]

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -389,6 +390,17 @@ class TestCheckpoint:
         struct.pack_into("<Q", blob, 12 + config_len, 999)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="999"):
+            load_model(path)
+
+    def test_wrongly_typed_config(self, tmp_path):
+        _, path = self._model(tmp_path)
+        blob = path.read_bytes()
+        (config_len,) = struct.unpack_from("<Q", blob, 4)
+        config = json.loads(blob[12 : 12 + config_len])
+        config["heads"] = "x"
+        text = json.dumps(config).encode()
+        path.write_bytes(blob[:4] + struct.pack("<Q", len(text)) + text + blob[12 + config_len :])
+        with pytest.raises(FormatError, match=r"m\.xvm: config\.heads: expected an integer.*byte 12"):
             load_model(path)
 
     def test_truncated_header(self, tmp_path):
