@@ -87,6 +87,8 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"{args.config}: gen-data needs a 'synth' section")
     train_cfg, eval_cfg = cfg.synth.train, cfg.synth.eval
     enroll_per_speaker, trials_seed = cfg.trials.enroll_per_speaker, cfg.trials.seed
+    if eval_cfg is None and enroll_per_speaker > 0:
+        raise ConfigError(f"{args.config}: trials need a synth.eval section to draw from")
 
     if args.seed is not None:
         train_cfg.seed = args.seed
@@ -110,8 +112,6 @@ def cmd_gen_data(args) -> int:
             evaluation.write_trials(out / "trials.tsv", trials)
             evaluation.write_enroll_map(out / "enroll.tsv", enroll_map)
             print(f"wrote {len(trials)} trials to {out / 'trials.tsv'}")
-    elif enroll_per_speaker > 0:
-        raise ConfigError(f"{args.config}: trials need a synth.eval section to draw from")
     return 0
 
 

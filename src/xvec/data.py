@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 FEATURE_MAGIC = b"XVF1"
 EMBEDDING_MAGIC = b"XVE1"
+MAX_FEATURE_FRAMES = 2**32 - 1  # the .xvf header stores the frame count as u32
 
 
 @dataclass
@@ -44,8 +45,9 @@ class SynthConfig:
             raise ConfigError(f"utts_per_speaker: must be >= 1, got {self.utts_per_speaker}")
         if self.min_frames < 10:
             raise ConfigError(f"min_frames: must be >= 10, got {self.min_frames}")
-        if self.max_frames < self.min_frames:
-            raise ConfigError(f"max_frames: must be >= min_frames, got {self.max_frames}")
+        if not self.min_frames <= self.max_frames <= MAX_FEATURE_FRAMES:
+            raise ConfigError(f"max_frames: must be in [min_frames, {MAX_FEATURE_FRAMES}], "
+                              f"got {self.max_frames}")
         if self.dim < 1:
             raise ConfigError(f"dim: must be >= 1, got {self.dim}")
         for name in ("p_stay_on", "p_stay_off"):

@@ -250,10 +250,14 @@ def write_trials(path, trials: list) -> None:
 
 def read_trials(path) -> list:
     trials = []
+    seen = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
             raise FormatError(f"{path}:{lineno}: expected 'enroll<TAB>test<TAB>target|nontarget'")
+        if (parts[0], parts[1]) in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate trial ({parts[0]}, {parts[1]})")
+        seen.add((parts[0], parts[1]))
         trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
     if not trials:
         raise DataError(f"{path}: no trials")

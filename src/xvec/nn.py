@@ -90,7 +90,9 @@ class Affine:
             )
         if train:
             self._x = x
-        return x @ self.weight.value.T + self.bias.value
+        y = x @ self.weight.value.T
+        y += self.bias.value
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -109,16 +111,22 @@ class LeakyReLU:
         self._keep = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        keep = x >= 0.0
+        # max(x, slope*x) picks x where x >= 0 and slope*x elsewhere, signed
+        # zeros included, because 0 <= slope < 1.
         if train:
-            self._keep = keep
-        return np.where(keep, x, self.slope * x)
+            self._keep = x >= 0.0
+        y = self.slope * x
+        return np.maximum(x, y, out=y)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._keep is None:
             raise RuntimeError("leaky ReLU backward called before a train-mode forward")
         keep, self._keep = self._keep, None
-        return np.where(keep, grad_out, self.slope * grad_out)
+        # 1.0 where the input was kept, slope elsewhere
+        dx = keep.astype(np.float64)
+        np.maximum(dx, self.slope, out=dx)
+        dx *= grad_out
+        return dx
 
 
 class BatchNorm:
@@ -170,31 +178,47 @@ class BatchNorm:
                 raise TrainingError(
                     f"batch norm {self.gamma.name} needs at least 2 rows in train mode, got {x.shape[0]}"
                 )
+            # The same arithmetic as x.mean(axis=0) and x.var(axis=0) (biased),
+            # with the centred batch computed once.
             mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased
+            x_hat = x - mean
+            sq = np.multiply(x_hat, x_hat)
+            var = sq.mean(axis=0)
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat = (x - mean) * inv_std
+            x_hat *= inv_std
             self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
             self._cache = (x_hat, inv_std)
-            return self.gamma.value * x_hat + self.beta.value
-        inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-        return self.gamma.value * (x - self.running_mean) * inv_std + self.beta.value
+            y = np.multiply(self.gamma.value, x_hat, out=sq)
+        else:
+            y = x - self.running_mean
+            y *= self.gamma.value
+            y *= 1.0 / np.sqrt(self.running_var + self.epsilon)
+        y += self.beta.value
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("batch norm backward called before a train-mode forward")
         (x_hat, inv_std), self._cache = self._cache, None
         n = grad_out.shape[0]
-        self.gamma.grad += (grad_out * x_hat).sum(axis=0)
-        self.beta.grad += grad_out.sum(axis=0)
-        g = grad_out * self.gamma.value
-        return (inv_std / n) * (n * g - g.sum(axis=0) - x_hat * (g * x_hat).sum(axis=0))
+        dgamma = np.einsum("ij,ij->j", grad_out, x_hat)
+        dbeta = grad_out.sum(axis=0)
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        # (grad_out * gamma) sums to gamma * dbeta over rows and, weighted by
+        # x_hat, to gamma * dgamma; the cached x_hat becomes the result.
+        dx = np.multiply(x_hat, dgamma / n, out=x_hat)
+        np.subtract(grad_out, dx, out=dx)
+        dx -= dbeta / n
+        dx *= self.gamma.value * inv_std
+        return dx
 
 
 class Splice:
     """Temporal splicing: each output row concatenates the input rows at the
-    configured offsets, with out-of-range indices clamped to the edges."""
+    configured offsets, with out-of-range indices clamped to the edges. The
+    identity splice, offsets (0,), hands its input (or gradient) back as is."""
 
     def __init__(self, offsets):
         offsets = tuple(int(o) for o in offsets)
@@ -211,28 +235,53 @@ class Splice:
     def width_multiplier(self) -> int:
         return len(self.offsets)
 
+    def _blocks(self, t: int, d: int):
+        """For each offset o: o, its output column slice and the output rows
+        [lo, hi) whose source row, row + o, lies in [0, t). Rows below lo read
+        row 0 and rows from hi on read row t - 1."""
+        for k, o in enumerate(self.offsets):
+            lo = min(max(-o, 0), t)
+            hi = max(min(t - o, t), lo)
+            yield o, slice(k * d, (k + 1) * d), lo, hi
+
+    def _splice(self, x: np.ndarray) -> np.ndarray:
+        if self.offsets == (0,):
+            return x
+        b, t, d = x.shape
+        out = np.empty((b, t, len(self.offsets) * d))
+        for o, cols, lo, hi in self._blocks(t, d):
+            out[:, lo:hi, cols] = x[:, lo + o:hi + o]
+            out[:, :lo, cols] = x[:, :1]
+            out[:, hi:, cols] = x[:, t - 1:]
+        return out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Splice one T x d utterance; caches nothing (the backward pass is
         batched only)."""
         t, d = x.shape
-        idx = np.clip(np.arange(t)[:, None] + np.asarray(self.offsets), 0, t - 1)
-        return x[idx].reshape(t, len(self.offsets) * d)
+        return self._splice(x[None]).reshape(t, len(self.offsets) * d)
 
     def forward_batch(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Splice a (B, T, d) stack of equal-length chunks, each clamped at
         its own edges so no frame leaks across chunk boundaries."""
-        b, t, d = x.shape
-        idx = np.clip(np.arange(t)[:, None] + np.asarray(self.offsets), 0, t - 1)
         if train:
-            self._batch_cache = (idx, b, t, d)
-        return x[:, idx, :].reshape(b, t, len(self.offsets) * d)
+            self._batch_cache = x.shape
+        return self._splice(x)
 
     def backward_batch(self, grad_out: np.ndarray) -> np.ndarray:
         if self._batch_cache is None:
             raise RuntimeError("splice backward called before a train-mode forward")
-        (idx, b, t, d), self._batch_cache = self._batch_cache, None
+        (b, t, d), self._batch_cache = self._batch_cache, None
+        if self.offsets == (0,):
+            return grad_out
         dx = np.zeros((b, t, d))
-        np.add.at(dx, (slice(None), idx.ravel()), grad_out.reshape(b, t * len(self.offsets), d))
+        for o, cols, lo, hi in self._blocks(t, d):
+            g = grad_out[:, :, cols]
+            dx[:, lo + o:hi + o] += g[:, lo:hi]
+            if lo > 0:
+                dx[:, 0] += g[:, :lo].sum(axis=1)
+            if hi < t:
+                dx[:, t - 1] += g[:, hi:].sum(axis=1)
         return dx
 
 

@@ -105,6 +105,18 @@ class TestUsageAndConfigErrors:
         )
         assert main(["gen-data", "--config", cfg, "--out-dir", str(tmp_path / "d")]) == 1
         assert "eval" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "train").exists()
+
+    def test_max_frames_beyond_feature_format(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            synth={"train": {"num_speakers": 2, "utts_per_speaker": 1,
+                             "min_frames": 10, "max_frames": 10**20, "dim": 2}},
+        )
+        assert main(["gen-data", "--config", cfg, "--out-dir", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "max_frames" in err[0]
+        assert not (tmp_path / "d").exists()
 
     def test_missing_file_is_exit_2(self, tmp_path, capsys):
         assert main(["extract", "--model", str(tmp_path / "no.xvm"),

@@ -318,6 +318,12 @@ class TestFileFormats:
         with pytest.raises(FormatError, match=":2"):
             read_trials(path)
 
+    def test_trials_duplicate_pair(self, tmp_path):
+        path = tmp_path / "trials.tsv"
+        path.write_text("s1\tu1\ttarget\ns1\tu2\tnontarget\ns1\tu2\tnontarget\n")
+        with pytest.raises(FormatError, match=r"trials.tsv:3: duplicate trial \(s1, u2\)"):
+            read_trials(path)
+
     def test_trials_empty(self, tmp_path):
         path = tmp_path / "trials.tsv"
         path.write_text("")

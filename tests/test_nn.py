@@ -247,6 +247,106 @@ class TestSplice:
             assert_grads_close(dx, numeric_grad(loss, x), what="input")
 
 
+def clamped_index(t: int, offsets) -> np.ndarray:
+    return np.clip(np.arange(t)[:, None] + np.asarray(offsets), 0, t - 1)
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    """Bit equality: unlike array_equal, tells -0.0 from 0.0."""
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestKernelOracles:
+    """The layers against the plain NumPy expressions they replace: forwards
+    bit for bit, the splice backward against an np.add.at scatter."""
+
+    @pytest.mark.parametrize("offsets", [(-5, 0, 1), (0, 4), (-2, -1, 0, 1, 2)])
+    @pytest.mark.parametrize("t", [1, 2, 3, 150])
+    def test_splice_backward_matches_scatter(self, offsets, t):
+        rng = np.random.default_rng(t)
+        b, d = 3, 4
+        sp = Splice(offsets)
+        sp.forward_batch(rng.standard_normal((b, t, d)), train=True)
+        g = rng.standard_normal((b, t, len(offsets) * d))
+        expected = np.zeros((b, t, d))
+        np.add.at(expected, (slice(None), clamped_index(t, offsets).ravel()),
+                  g.reshape(b, t * len(offsets), d))
+        np.testing.assert_allclose(sp.backward_batch(g), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("offsets", [(0,), (-5, 0, 1), (0, 4), (-3, 0, 3)])
+    @pytest.mark.parametrize("t", [1, 2, 3, 150])
+    def test_splice_forward_is_gather(self, offsets, t):
+        rng = np.random.default_rng(t)
+        sp = Splice(offsets)
+        idx = clamped_index(t, offsets)
+        x = rng.standard_normal((t, 5))
+        assert_same_bits(sp.forward(x), x[idx].reshape(t, len(offsets) * 5))
+        x3 = rng.standard_normal((3, t, 5))
+        assert_same_bits(sp.forward_batch(x3, train=True), x3[:, idx, :].reshape(3, t, len(offsets) * 5))
+
+    def test_affine_forward_bits(self):
+        rng = np.random.default_rng(0)
+        layer = Affine.build(rng, 60, 64, "a")
+        layer.bias.value[...] = rng.standard_normal(64)
+        x = rng.standard_normal((300, 60))
+        expected = x @ layer.weight.value.T + layer.bias.value
+        for train in (False, True):
+            assert_same_bits(layer.forward(x, train), expected)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3])
+    def test_leaky_relu_forward_bits(self, slope):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 7))
+        x[0] = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, -1e300]
+        layer = LeakyReLU(slope)
+        expected = np.where(x >= 0.0, x, slope * x)
+        for train in (False, True):
+            assert_same_bits(layer.forward(x, train), expected)
+        layer.forward(x, train=True)
+        g = rng.standard_normal(x.shape)
+        assert_same_bits(layer.backward(g), np.where(x >= 0.0, g, slope * g))
+
+    def test_batch_norm_forward_bits(self):
+        rng = np.random.default_rng(2)
+        bn = BatchNorm.build(64, "bn")
+        bn.gamma.value[...] = rng.uniform(0.5, 1.5, 64)
+        bn.beta.value[...] = rng.standard_normal(64)
+        bn.running_mean[...] = rng.standard_normal(64)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, 64)
+        x = 3.0 + rng.standard_normal((4800, 64))
+        gamma, beta, eps, m = bn.gamma.value, bn.beta.value, bn.epsilon, bn.momentum
+
+        inv_std = 1.0 / np.sqrt(bn.running_var + eps)
+        assert_same_bits(bn.forward(x, train=False), gamma * (x - bn.running_mean) * inv_std + beta)
+
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        running = (m * bn.running_mean + (1.0 - m) * mean, m * bn.running_var + (1.0 - m) * var)
+        expected = gamma * ((x - mean) * (1.0 / np.sqrt(var + eps))) + beta
+        assert_same_bits(bn.forward(x, train=True), expected)
+        assert_same_bits(bn.running_mean, running[0])
+        assert_same_bits(bn.running_var, running[1])
+
+    def test_layers_leave_inputs_alone(self):
+        rng = np.random.default_rng(3)
+        x3 = rng.standard_normal((2, 20, 6))
+        x = x3.reshape(40, 6)
+        g = rng.standard_normal((40, 6))
+        g3 = rng.standard_normal((2, 20, 18))
+        kept = [a.copy() for a in (x3, g, g3)]
+        sp = Splice((-2, 0, 3))
+        for layer in (Affine.build(rng, 6, 6, "a"), LeakyReLU(), BatchNorm.build(6, "bn")):
+            y = layer.forward(x, train=False)
+            assert not np.shares_memory(y, x)
+            layer.forward(x, train=True)
+            layer.backward(g)
+        sp.forward(x)
+        sp.forward_batch(x3, train=True)
+        sp.backward_batch(g3)
+        for a, b in zip((x3, g, g3), kept):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
