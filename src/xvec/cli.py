@@ -157,7 +157,8 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     model = load_model(args.model)
     dataset = data.load_dataset(args.data)
-    embeddings = {utt.utt_id: model.extract_embedding(utt.features) for utt in dataset.utterances}
+    plan = model.inference_plan()
+    embeddings = {utt.utt_id: model.extract_embedding(utt.features, plan) for utt in dataset.utterances}
     data.write_embeddings(args.out, embeddings)
     dim = next(iter(embeddings.values())).shape[0]
     print(f"wrote {len(embeddings)} embeddings (dim {dim}) to {args.out}")

@@ -240,6 +240,16 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
     return out / "manifest.tsv"
 
 
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file. Bytes that are not UTF-8 raise
+    FormatError naming the file and the first bad byte."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 at byte {e.start} (0x{blob[e.start]:02x})") from None
+
+
 def load_dataset(manifest_path, split: str = "train") -> Dataset:
     """Load a dataset from a manifest file or a directory containing one."""
     path = Path(manifest_path)
@@ -251,14 +261,14 @@ def load_dataset(manifest_path, split: str = "train") -> Dataset:
     gates = {}
     gate_path = root / "gates.tsv"
     if gate_path.is_file():
-        for lineno, line in enumerate(gate_path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(read_lines(gate_path), 1):
             parts = line.split("\t")
             if len(parts) != 2 or set(parts[1]) - {"0", "1"}:
                 raise FormatError(f"{gate_path}:{lineno}: expected 'utt_id<TAB>0/1 string'")
             gates[parts[0]] = np.frombuffer(parts[1].encode(), dtype=np.uint8) - ord("0")
     utterances = []
     seen = {}  # utt_id -> manifest line
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected 'utt_id<TAB>speaker<TAB>path'")

@@ -8,15 +8,13 @@ accepted when its score is >= the threshold.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, read_lines
 from .errors import ConfigError, DataError, FormatError
-from .model import Model
+from .model import InferencePlan, Model
 
 NORM_FLOOR = 1e-12
 
@@ -166,43 +164,48 @@ def compute_metrics(scores, labels) -> MetricsReport:
 # -- attention diagnostics ----------------------------------------------------
 
 
-def attention_trajectory(model: Model, features: np.ndarray):
+def attention_trajectory(model: Model, features: np.ndarray, plan: InferencePlan | None = None):
     """Per-frame attention record for one utterance: (max over heads, full
-    heads x frames matrix). Average pooling has no weights to report."""
-    trace = model.forward(features, train=False)
+    heads x frames matrix). Average pooling has no weights to report. A loop
+    over utterances passes one model.inference_plan() to every call."""
+    trace = model.forward(features, plan=plan)
     if trace.attention is None:
         raise ConfigError(f"pooling '{model.config.pooling}' produces no attention weights")
     return trace.attention.max(axis=0), trace.attention
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)  # highest rank within each group of equal values
+    return (upper - (counts - 1) / 2.0)[inverse]
+
+
 def gate_correlation(weights: np.ndarray, gate: np.ndarray) -> float:
     """Spearman rank correlation between attention weights and the 0/1
-    informative-frame gate; 0.0 when either side is constant."""
-    # imported here: scipy.stats takes over a second to import, and no CLI
-    # command needs it
-    from scipy.stats import spearmanr
-
+    informative-frame gate: the Pearson correlation of their average ranks.
+    0.0 when either side is constant, where the correlation is undefined."""
     weights = np.asarray(weights, dtype=np.float64)
     gate = np.asarray(gate, dtype=np.float64)
     if weights.shape != gate.shape or weights.ndim != 1:
         raise DataError(f"weights and gate must be 1-D and equal length, "
                         f"got {weights.shape} and {gate.shape}")
-    with warnings.catch_warnings():
-        # constant weights or an all-on gate are legitimate inputs; the
-        # correlation is simply undefined there and we report 0.0
-        warnings.simplefilter("ignore")
-        result = spearmanr(weights, gate)
-    stat = float(getattr(result, "statistic", getattr(result, "correlation", np.nan)))
-    return 0.0 if np.isnan(stat) else stat
+    a = _average_ranks(weights)
+    b = _average_ranks(gate)
+    a -= a.mean()
+    b -= b.mean()
+    denom = np.sqrt((a @ a) * (b @ b))
+    return float(a @ b / denom) if denom > 0.0 else 0.0
 
 
 def mean_gate_correlation(model: Model, dataset: Dataset) -> float:
     """Mean per-utterance gate correlation of the max-over-heads weights."""
     values = []
+    plan = model.inference_plan()
     for utt in dataset.utterances:
         if utt.gate is None:
             continue
-        max_weights, _ = attention_trajectory(model, utt.features)
+        max_weights, _ = attention_trajectory(model, utt.features, plan)
         values.append(gate_correlation(max_weights, utt.gate))
     if not values:
         raise DataError("no utterance in the dataset carries gate ground truth")
@@ -251,7 +254,7 @@ def write_trials(path, trials: list) -> None:
 def read_trials(path) -> list:
     trials = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
             raise FormatError(f"{path}:{lineno}: expected 'enroll<TAB>test<TAB>target|nontarget'")
@@ -273,7 +276,7 @@ def write_enroll_map(path, enroll_map: dict) -> None:
 
 def read_enroll_map(path) -> dict:
     mapping = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'speaker<TAB>segment'")
@@ -295,7 +298,7 @@ def write_scores(path, scored: list) -> None:
 def read_scores(path) -> dict:
     """Returns {(enroll, test): score}."""
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         parts = line.split("\t")
         try:
             score = float(parts[2]) if len(parts) == 3 else None

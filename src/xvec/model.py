@@ -1,17 +1,25 @@
 """The full x-vector network: frame-level TDNN, pooling, utterance-level
 classifier, plus checkpoint serialization.
 
-Inference processes one utterance per forward call. Training forwards a
-whole batch of equal-length chunks at once so that batch norm statistics
-cover every frame in the batch; splicing and pooling still treat each
-chunk separately. There is one backward pass, the batched one: training and
-the gradient checker both run it, the checker on a batch of one chunk
-against central differences of the single-utterance forward. Frame layers
-are splice + affine + leaky ReLU + batch norm blocks; the pooled vector
-feeds affine + leaky ReLU utterance blocks and a softmax classifier.
-Utterance blocks carry no batch norm because inference sees a single pooled
-vector. The speaker embedding is the pre-activation output of a
-configurable utterance-level affine.
+Frame layers are splice + affine + leaky ReLU + batch norm blocks; the
+pooled vector feeds affine + leaky ReLU utterance blocks and a softmax
+classifier. Utterance blocks carry no batch norm because inference sees a
+single pooled vector. The speaker embedding is the pre-activation output of
+a configurable utterance-level affine.
+
+Training forwards a whole batch of equal-length chunks at once so that
+batch norm statistics cover every frame in the batch; splicing and pooling
+still treat each chunk separately. That batched forward and its backward
+are the only training path: the gradient checker runs them on a batch of
+one chunk.
+
+Inference processes one utterance per forward call through an
+InferencePlan. With frozen running statistics a batch norm is a per-column
+affine map, and splicing only gathers columns, so each batch norm that
+feeds another affine (the next frame block's, the compatibility net's) is
+folded into that affine's weights. The two batch norms that feed pooling,
+on the values and on the compatibility output, still run as batch norms:
+the variance floor and the softmax are not affine.
 """
 
 from __future__ import annotations
@@ -122,13 +130,42 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """Everything a single forward pass produced."""
+    """What one forward pass produced. A train-mode forward reports only
+    the posteriors."""
 
-    frame_activations: list
-    pooled: np.ndarray
-    utterance_preactivations: list
-    posteriors: np.ndarray
+    posteriors: np.ndarray  # 1 x K
+    # per frame block: the leaky ReLU output, whose batch norm the plan folds
+    # into the next affine; for the last block, the batch-normed values
+    frame_activations: list = field(default_factory=list)
+    pooled: np.ndarray | None = None
+    utterance_preactivations: list = field(default_factory=list)
     attention: np.ndarray | None = None  # h x T weights, None for stats pooling
+
+
+def _fold(bn: BatchNorm, affine: Affine) -> Affine:
+    """affine(x) on x = bn(h) spliced, as one affine map of h spliced.
+
+    In inference mode bn(h) = h * s + c per column, and splicing copies
+    columns, so affine's input is h spliced times tile(s) plus tile(c), one
+    copy per splice offset.
+    """
+    s = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + bn.epsilon))
+    c = bn.beta.value - bn.running_mean * s
+    copies = affine.din // bn.dim
+    w = affine.weight.value
+    return Affine(Parameter(affine.weight.name, w * np.tile(s, copies)),
+                  Parameter(affine.bias.name, affine.bias.value + w @ np.tile(c, copies)))
+
+
+@dataclass
+class InferencePlan:
+    """The inference layers of a Model with batch norm folded in, built by
+    Model.inference_plan from the parameters of that moment."""
+
+    frame: list  # (Splice, Affine, LeakyReLU) per frame block
+    values_bn: BatchNorm  # the last frame block's batch norm
+    compat: list = field(default_factory=list)  # (Affine, LeakyReLU) per compat block
+    compat_bn: BatchNorm | None = None  # the last compat block's batch norm
 
 
 class _FrameBlock:
@@ -225,37 +262,67 @@ class Model:
 
     # -- forward / backward ---------------------------------------------------
 
-    def forward(self, features: np.ndarray, train: bool = False) -> ForwardTrace:
-        """Forward one T x d utterance. Inference uses train=False; train=True
-        normalizes with the utterance's own frame statistics and updates the
-        running ones, as forward_batch does on a batch of one chunk."""
+    def inference_plan(self) -> InferencePlan:
+        """Fold each batch norm that feeds an affine into that affine; see
+        the module docstring. The plan copies the weights, so it goes stale
+        when a parameter or running statistic changes: build a new one."""
+        blocks = self.frame_blocks
+        frame = [(blocks[0].splice, blocks[0].affine, blocks[0].act)]
+        for prev, block in zip(blocks, blocks[1:]):
+            frame.append((block.splice, _fold(prev.bn, block.affine), block.act))
+        if isinstance(self.pool, StatsPool):
+            return InferencePlan(frame, blocks[-1].bn)
+        compat = []
+        bn = blocks[self.config.effective_key_layer - 1].bn
+        for affine, act, next_bn in self.pool.net.blocks:
+            compat.append((_fold(bn, affine), act))
+            bn = next_bn
+        return InferencePlan(frame, blocks[-1].bn, compat, bn)
+
+    def forward(self, features: np.ndarray, train: bool = False,
+                plan: InferencePlan | None = None) -> ForwardTrace:
+        """Forward one T x d utterance.
+
+        Inference (train=False) runs ``plan``, by default one built for this
+        call; a loop over utterances builds it once with inference_plan()
+        and passes it in, which changes no result. train=True runs
+        forward_batch on a batch of this one chunk: batch norm uses the
+        chunk's own frame statistics and updates the running ones.
+        """
         x = as_matrix(features)
         if x.shape[1] != self.config.input_dim:
             raise DataError(
                 f"features have {x.shape[1]} columns, model expects {self.config.input_dim}"
             )
+        if train:
+            return ForwardTrace(self.forward_batch(x[None], train=True)[0])
+        if plan is None:
+            plan = self.inference_plan()
         frame_acts = []
         h = x
-        for block in self.frame_blocks:
-            h = block.affine.forward(block.splice.forward(h), train)
-            h = block.bn.forward(block.act.forward(h, train), train)
-            frame_acts.append(h)
-        values = frame_acts[-1]
+        for splice, affine, act in plan.frame:
+            h = affine.forward(splice.forward(h))
+            frame_acts.append(act.forward(h, out=h))
+        values = plan.values_bn.forward(h)
         attention = None
         if isinstance(self.pool, StatsPool):
             pooled, _ = self.pool.pool(values)
         else:
-            compat = self.pool.net.forward(frame_acts[self.config.effective_key_layer - 1], train)
-            pooled, attention, _ = self.pool.pool_from_compat(values, compat)
+            # the key block's batch norm is folded into plan.compat[0]
+            c = frame_acts[self.config.effective_key_layer - 1]
+            for affine, act in plan.compat:
+                c = affine.forward(c)
+                act.forward(c, out=c)
+            pooled, attention, _ = self.pool.pool_from_compat(values, plan.compat_bn.forward(c))
+        frame_acts[-1] = values
         z = pooled[None, :]
         preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
-            z = affine.forward(z, train)
+            z = affine.forward(z)
             preacts.append(z[0].copy())
-            z = act.forward(z, train)
-        logits = self.classifier.forward(z, train)
-        posteriors = self.softmax.forward(logits, train)
-        return ForwardTrace(frame_acts, pooled, preacts, posteriors, attention)
+            z = act.forward(z)
+        posteriors = self.softmax.forward(self.classifier.forward(z))
+        return ForwardTrace(posteriors, frame_acts, pooled, preacts, attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.
@@ -332,10 +399,10 @@ class Model:
             g_flat = g3.reshape(b * t, g3.shape[2])
         return g_flat.reshape(b, t, g_flat.shape[1])
 
-    def extract_embedding(self, features: np.ndarray) -> np.ndarray:
+    def extract_embedding(self, features: np.ndarray, plan: InferencePlan | None = None) -> np.ndarray:
         """Inference-mode speaker embedding: the pre-activation output of the
         utterance-level affine selected by embedding_tap."""
-        trace = self.forward(features, train=False)
+        trace = self.forward(features, plan=plan)
         return trace.utterance_preactivations[self.config.embedding_tap]
 
 

@@ -156,8 +156,9 @@ def classification_accuracy(model: Model, dataset: Dataset) -> float:
     """Fraction of utterances whose full-length posterior argmax matches the
     speaker label; inference mode, no chunking."""
     correct = 0
+    plan = model.inference_plan()
     for utt in dataset.utterances:
-        trace = model.forward(utt.features, train=False)
+        trace = model.forward(utt.features, plan=plan)
         if int(np.argmax(trace.posteriors[0])) == dataset.label(utt):
             correct += 1
     return correct / len(dataset.utterances)
@@ -254,10 +255,10 @@ def check_model_gradients(model: Model, features: np.ndarray, label: int,
     """Compare the analytic gradient of the cross entropy against central
     differences for every scalar parameter.
 
-    The analytic gradient comes from the batched backward pass that training
-    runs, on a batch of one chunk; the differences come from the
-    single-utterance forward, so the check also ties that forward to the
-    training path. Batch-norm running statistics are snapshotted and
+    Both sides run the training path on a batch of this one chunk: the
+    analytic gradient comes from forward_batch and backward_batch, the
+    differences from Model.forward(train=True), which hands the chunk to
+    forward_batch. Batch-norm running statistics are snapshotted and
     restored so the check leaves the model untouched.
     """
     labels = np.array([label])

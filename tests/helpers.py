@@ -1,7 +1,8 @@
 """Shared test utilities: an independent central-difference gradient oracle,
-an exact-rational detection-metric oracle and a plain-NumPy single-head
-attention pooling reference, plus the package's single-head pool over given
-logits that the pooling checks exercise.
+an exact-rational detection-metric oracle, a plain-NumPy single-head
+attention pooling reference and a plain-NumPy unfolded inference forward,
+plus the package's single-head pool over given logits that the pooling
+checks exercise.
 
 The oracles are deliberately separate from the package's own
 implementations so the two routes can vouch for each other.
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from xvec.nn import Parameter
+from xvec.nn import BN_EPSILON, LEAKY_SLOPE, Parameter
 from xvec.pooling import EPS_VAR, CompatibilityNet, MultiHeadPool
 
 FD_EPS = 1e-5
@@ -71,6 +72,60 @@ def reference_attention_pool(values, logits):
     mean = w @ values
     std = np.sqrt(w @ (values - mean) ** 2 + EPS_VAR)
     return np.concatenate([mean, std]), w
+
+
+# -- unfolded inference forward -------------------------------------------------
+
+
+def _leaky(z):
+    return np.maximum(z, 0.0) + LEAKY_SLOPE * np.minimum(z, 0.0)
+
+
+def _affine_leaky_norm(x, arrays, name):
+    z = _leaky(x @ arrays[f"{name}.weight"].T + arrays[f"{name}.bias"])
+    return (arrays[f"{name}.bn.gamma"] * (z - arrays[f"{name}.bn.running_mean"])
+            / np.sqrt(arrays[f"{name}.bn.running_var"] + BN_EPSILON) + arrays[f"{name}.bn.beta"])
+
+
+def reference_forward(model, feats):
+    """Inference forward of one utterance read off the model's state arrays,
+    with every batch norm applied as a batch norm: edge-clamped splice,
+    affine, leaky ReLU and batch norm per frame block; h-head softmax
+    pooling into [means; stds]; leaky-ReLU utterance layers and a softmax.
+    Returns (utterance pre-activations, posteriors (K,), attention (h, T) or
+    None)."""
+    cfg = model.config
+    arrays = dict(model.state_arrays())
+    acts, h = [], np.asarray(feats, dtype=np.float64)
+    for i, spec in enumerate(cfg.frame_layers):
+        t = h.shape[0]
+        spliced = np.hstack([h[np.clip(np.arange(t) + o, 0, t - 1)] for o in spec.offsets])
+        h = _affine_leaky_norm(spliced, arrays, f"frame{i}")
+        acts.append(h)
+    t, d_v = h.shape
+    attention = None
+    if cfg.pooling == "stats":
+        heads, weights = 1, np.full((1, t), 1.0 / t)
+    else:
+        heads = cfg.effective_heads
+        c = acts[cfg.effective_key_layer - 1]
+        for i in range(len(cfg.compat)):
+            c = _affine_leaky_norm(c, arrays, f"compat{i}")
+        logits = np.einsum("thq,hq->ht", c.reshape(t, heads, -1), arrays["query"].reshape(heads, -1))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights = attention = e / e.sum(axis=1, keepdims=True)
+    v = h.reshape(t, heads, d_v // heads)
+    mean = np.einsum("ht,thd->hd", weights, v)
+    var = np.einsum("ht,thd->hd", weights, (v - mean) ** 2)
+    z = np.concatenate([mean.ravel(), np.sqrt(var + EPS_VAR).ravel()])
+    preacts = []
+    for i in range(len(cfg.utterance_layers)):
+        z = arrays[f"utt{i}.weight"] @ z + arrays[f"utt{i}.bias"]
+        preacts.append(z)
+        z = _leaky(z)
+    logits = arrays["classifier.weight"] @ z + arrays["classifier.bias"]
+    e = np.exp(logits - logits.max())
+    return preacts, e / e.sum(), attention
 
 
 # -- detection-metric oracle (exact rational arithmetic) -----------------------

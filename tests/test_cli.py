@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -63,8 +64,8 @@ class TestHelpers:
             parse_compat("0")
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy.stats costs over a second of start-up; only gate_correlation
-        # needs it, and no command calls that
+        # xvec needs no scipy (only the tests compare against it), and
+        # importing scipy.stats costs over a second of start-up
         code = "import sys, xvec.cli; print('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(xvec.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env,
@@ -130,6 +131,48 @@ class TestUsageAndConfigErrors:
                      "--utt", str(tmp_path / "u.xvf"),
                      "--out", str(tmp_path / "t.tsv")]) == 2
         assert "bad.xvm" in capsys.readouterr().err
+
+
+class TestNonUtf8Text:
+    """Every text reader turns bytes that are not UTF-8 into exit 2 and one
+    error line naming the file and the byte."""
+
+    BOM = b"\xff\xfe"  # a UTF-16 byte order mark: never valid UTF-8
+
+    def corrupt(self, path):
+        path.write_bytes(self.BOM + path.read_bytes())
+        return path
+
+    def assert_one_error(self, rc, capsys, path):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1, err
+        assert err[0] == f"error: {path}: not UTF-8 at byte 0 (0xff)"
+
+    @pytest.mark.parametrize("name", ["manifest.tsv", "gates.tsv"])
+    def test_extract_dataset_files(self, pipeline, tmp_path, capsys, name):
+        shutil.copytree(pipeline["corpus"] / "eval", tmp_path / "eval")
+        bad = self.corrupt(tmp_path / "eval" / name)
+        rc = main(["extract", "--model", str(pipeline["run"] / "model.xvm"),
+                   "--data", str(tmp_path / "eval"), "--out", str(tmp_path / "e.xve")])
+        self.assert_one_error(rc, capsys, bad)
+
+    @pytest.mark.parametrize("name", ["trials.tsv", "enroll.tsv"])
+    def test_score_inputs(self, pipeline, tmp_path, capsys, name):
+        files = {n: tmp_path / n for n in ("trials.tsv", "enroll.tsv")}
+        for n, path in files.items():
+            shutil.copy(pipeline["corpus"] / n, path)
+        bad = self.corrupt(files[name])
+        rc = main(["score", "--embeddings", str(pipeline["emb"]), "--trials", str(files["trials.tsv"]),
+                   "--enroll-map", str(files["enroll.tsv"]), "--out", str(tmp_path / "s.tsv")])
+        self.assert_one_error(rc, capsys, bad)
+
+    def test_eval_scores(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "scores.tsv"
+        shutil.copy(pipeline["scores"], bad)
+        self.corrupt(bad)
+        rc = main(["eval", "--scores", str(bad), "--trials", str(pipeline["corpus"] / "trials.tsv")])
+        self.assert_one_error(rc, capsys, bad)
 
 
 class TestGenData:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import oracle_eer, oracle_min_dcf, random_score_set
@@ -241,6 +243,20 @@ class TestGateCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             gate_correlation(np.ones(4), np.ones(5))
+
+    def test_matches_scipy_spearman_with_ties(self):
+        from scipy.stats import spearmanr
+
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            weights = rng.integers(0, int(rng.integers(1, 6)), n) / 7.0  # few levels, many ties
+            gate = rng.integers(0, 2, n)
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # constant inputs: scipy warns, returns nan
+                expected = spearmanr(weights, gate).statistic
+            expected = 0.0 if np.isnan(expected) else expected
+            assert abs(gate_correlation(weights, gate) - expected) < 1e-12
 
     def test_mean_over_dataset(self):
         ds = gen_synthetic(SynthConfig(num_speakers=2, utts_per_speaker=2,

@@ -3,7 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import reference_forward
 
+from xvec.data import Dataset, Utterance
 from xvec.errors import ConfigError, DataError, FormatError
 from xvec.model import (
     CHECKPOINT_MAGIC,
@@ -15,7 +17,7 @@ from xvec.model import (
     save_model,
 )
 from xvec.pooling import StatsPool
-from xvec.train import check_model_gradients
+from xvec.train import Optimizer, TrainConfig, check_model_gradients, classification_accuracy, train_step
 
 
 def layers(*specs):
@@ -250,6 +252,107 @@ class TestForward:
         for seed in range(5):
             trace = build_model(tiny_config("attention"), seed=seed).forward(x)
             assert trace.attention.max() < 0.5
+
+
+def randomize_batch_norms(model, rng):
+    """Give every batch norm a scale of either sign, a shift and running
+    statistics far from the fresh 1/0/0/1, so no fold is near the identity."""
+    for name, array in model.state_arrays():
+        if name.endswith(".bn.running_var"):
+            array[...] = rng.uniform(0.2, 3.0, array.shape)
+        elif ".bn." in name:
+            array[...] = rng.normal(0.0, 1.5, array.shape)
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    err = float(np.abs(got - ref).max())
+    assert err <= rtol * float(np.abs(ref).max()), f"max abs error {err:.3e}"
+
+
+def assert_matches_reference(model, x):
+    trace = model.forward(x)
+    preacts, posteriors, attention = reference_forward(model, x)
+    for got, ref in zip(trace.utterance_preactivations, preacts, strict=True):
+        assert_rel_close(got, ref)
+    assert_rel_close(trace.posteriors[0], posteriors)
+    if attention is None:
+        assert trace.attention is None
+    else:
+        assert_rel_close(trace.attention, attention)
+    return trace
+
+
+class TestFoldedForward:
+    """The folded inference plan against the unfolded plain-NumPy forward."""
+
+    CASES = {
+        "stats": ("stats", {}),
+        "attention-inner-key": ("attention", {}),
+        "multihead-inner-key": ("multihead", {}),
+        "attention-last-key": ("attention", {"key_layer": 3}),
+        "multihead-last-key": ("multihead", {"key_layer": 0}),
+        "multihead-first-key-one-compat-block": ("multihead", {"key_layer": 1, "compat": [4]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("frames", [1, 2, 9, 40])  # receptive field 7: short ones clamp
+    def test_matches_unfolded_reference(self, case, frames):
+        pooling, overrides = self.CASES[case]
+        model = build_model(tiny_config(pooling, utterance_layers=[7, 5], **overrides), seed=21)
+        rng = np.random.default_rng(frames)
+        randomize_batch_norms(model, rng)
+        x = rng.standard_normal((frames, 4))
+        trace = assert_matches_reference(model, x)
+        emb = model.extract_embedding(x)
+        assert_rel_close(emb, reference_forward(model, x)[0][0])
+        given = model.forward(x, plan=model.inference_plan())
+        np.testing.assert_array_equal(given.posteriors, trace.posteriors)
+        np.testing.assert_array_equal(given.pooled, trace.pooled)
+
+    def test_follows_a_train_step(self):
+        model = build_model(tiny_config("multihead"), seed=22)
+        rng = np.random.default_rng(22)
+        randomize_batch_norms(model, rng)
+        x = rng.standard_normal((9, 4))
+        before = model.forward(x).posteriors
+        opt = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
+        train_step(model, opt, rng.standard_normal((4, 6, 4)), np.array([0, 1, 2, 0]), step=1)
+        after = assert_matches_reference(model, x).posteriors
+        assert np.abs(after - before).max() > 1e-6
+
+    @pytest.mark.parametrize("name", [
+        "frame0.bn.running_mean", "frame0.bn.running_var", "frame0.bn.gamma", "frame1.weight",
+        "frame1.bn.beta", "compat0.bn.running_var", "compat1.weight", "compat1.bn.gamma",
+    ])
+    def test_follows_in_place_edits(self, name):
+        model = build_model(tiny_config("multihead"), seed=23)
+        rng = np.random.default_rng(23)
+        randomize_batch_norms(model, rng)
+        x = rng.standard_normal((9, 4))
+        before = model.forward(x).posteriors
+        dict(model.state_arrays())[name][...] *= 1.7
+        after = assert_matches_reference(model, x).posteriors
+        assert np.abs(after - before).max() > 1e-9
+
+    def test_accuracy_sweep_follows_in_place_edits(self):
+        model = build_model(tiny_config("attention"), seed=24)
+        rng = np.random.default_rng(24)
+        randomize_batch_norms(model, rng)
+        feats = [rng.standard_normal((int(rng.integers(5, 15)), 4)) for _ in range(30)]
+
+        def predicted():
+            return [int(np.argmax(reference_forward(model, f)[1])) for f in feats]
+
+        speakers = ["a", "b", "c"]
+        utts = [Utterance(f"u{i}", speakers[k], f) for i, (f, k) in enumerate(zip(feats, predicted()))]
+        ds = Dataset(utts, speakers)
+        assert classification_accuracy(model, ds) == 1.0
+        dict(model.state_arrays())["frame0.bn.running_mean"][...] *= -1.0
+        expected = np.mean([ds.label(u) == k for u, k in zip(utts, predicted())])
+        assert expected < 1.0
+        assert classification_accuracy(model, ds) == expected
 
 
 class TestEmbedding:
