@@ -134,9 +134,10 @@ class ForwardTrace:
     the posteriors."""
 
     posteriors: np.ndarray  # 1 x K
-    # per frame block: the leaky ReLU output, whose batch norm the plan folds
-    # into the next affine; for the last block, the batch-normed values
+    # per frame block, the leaky ReLU output before the block's batch norm
+    # (the plan folds that batch norm into the next affine)
     frame_activations: list = field(default_factory=list)
+    values: np.ndarray | None = None  # the last block's batch-normed output, what pooling reads
     pooled: np.ndarray | None = None
     utterance_preactivations: list = field(default_factory=list)
     attention: np.ndarray | None = None  # h x T weights, None for stats pooling
@@ -301,8 +302,8 @@ class Model:
         frame_acts = []
         h = x
         for splice, affine, act in plan.frame:
-            h = affine.forward(splice.forward(h))
-            frame_acts.append(act.forward(h, out=h))
+            h = act.forward(affine.forward(splice.forward(h)))
+            frame_acts.append(h)
         values = plan.values_bn.forward(h)
         attention = None
         if isinstance(self.pool, StatsPool):
@@ -311,10 +312,8 @@ class Model:
             # the key block's batch norm is folded into plan.compat[0]
             c = frame_acts[self.config.effective_key_layer - 1]
             for affine, act in plan.compat:
-                c = affine.forward(c)
-                act.forward(c, out=c)
+                c = act.forward(affine.forward(c))
             pooled, attention, _ = self.pool.pool_from_compat(values, plan.compat_bn.forward(c))
-        frame_acts[-1] = values
         z = pooled[None, :]
         preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
@@ -322,7 +321,7 @@ class Model:
             preacts.append(z[0].copy())
             z = act.forward(z)
         posteriors = self.softmax.forward(self.classifier.forward(z))
-        return ForwardTrace(posteriors, frame_acts, pooled, preacts, attention)
+        return ForwardTrace(posteriors, frame_acts, values, pooled, preacts, attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.

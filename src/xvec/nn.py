@@ -110,14 +110,13 @@ class LeakyReLU:
         self.slope = slope
         self._keep = None
 
-    def forward(self, x: np.ndarray, train: bool = False, out: np.ndarray | None = None) -> np.ndarray:
-        """Returns a new array, or writes to ``out`` (which may be x itself)."""
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         # max(x, slope*x) picks x where x >= 0 and slope*x elsewhere, signed
         # zeros included, because 0 <= slope < 1.
         if train:
             self._keep = x >= 0.0
         y = self.slope * x
-        return np.maximum(x, y, out=y if out is None else out)
+        return np.maximum(x, y, out=y)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._keep is None:

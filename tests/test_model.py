@@ -228,9 +228,9 @@ class TestForward:
         np.testing.assert_array_equal(
             explicit.forward(x).posteriors, default.forward(x).posteriors
         )
-        keys = explicit.forward(x).frame_activations[2]
-        values = explicit.forward(x).frame_activations[-1]
-        np.testing.assert_array_equal(keys, values)
+        trace = explicit.forward(x)
+        keys = explicit.frame_blocks[2].bn.forward(trace.frame_activations[2])
+        np.testing.assert_array_equal(keys, trace.values)
 
     def test_small_query_approaches_stats_pooling(self):
         # as the query shrinks the weights flatten and attention meets the
@@ -241,7 +241,7 @@ class TestForward:
             model = build_model(tiny_config(pooling), seed=7)
             model.pool.query.value *= 1e-3
             trace = model.forward(x)
-            reference, _ = StatsPool().pool(trace.frame_activations[-1])
+            reference, _ = StatsPool().pool(trace.values)
             rel = np.abs(trace.pooled - reference) / np.maximum(np.abs(reference), 1e-8)
             assert rel.max() < 1e-2
             assert trace.attention.max() < 0.5  # nothing collapses to one frame
