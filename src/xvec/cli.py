@@ -132,14 +132,14 @@ def cmd_train(args) -> int:
         model_dict["compat"] = parse_compat(args.compat)
     if args.heads is not None:
         model_dict["heads"] = args.heads
-    model_config = ModelConfig.from_dict(model_dict, f"{args.config}: model")
+    model_config = from_json(ModelConfig, model_dict, f"{args.config}: model")
 
     train_dict = dict(cfg.train)
     if args.seed is not None:
         train_dict["seed"] = args.seed
     if args.epochs is not None:
         train_dict["epochs"] = args.epochs
-    train_config = TrainConfig.from_dict(train_dict, f"{args.config}: train")
+    train_config = from_json(TrainConfig, train_dict, f"{args.config}: train")
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -229,7 +229,7 @@ def cmd_gradcheck(args) -> int:
         cfg = load_run_config(args.config)
         if cfg.model is None:
             raise ConfigError(f"{args.config}: gradcheck needs a 'model' section")
-        configs = [("model", ModelConfig.from_dict(cfg.model, f"{args.config}: model"))]
+        configs = [("model", from_json(ModelConfig, cfg.model, f"{args.config}: model"))]
     else:
         kinds = list(POOLING_FLAGS) if args.pooling == "all" else [args.pooling]
         configs = [(kind, _tiny_config(POOLING_FLAGS[kind])) for kind in kinds]

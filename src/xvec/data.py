@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import from_json
 from .errors import ConfigError, DataError, FormatError
 
 log = logging.getLogger(__name__)
@@ -56,13 +55,6 @@ class SynthConfig:
                 raise ConfigError(f"{name}: must be in (0, 1), got {p}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma: must be > 0, got {self.sigma}")
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "synth config") -> "SynthConfig":
-        return from_json(cls, d, where)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -165,7 +157,7 @@ def read_features(path) -> np.ndarray:
     if len(blob) > expected:
         raise FormatError(f"{path}: {len(blob) - expected} trailing bytes at byte {expected}")
     if t < 1 or d < 1:
-        raise FormatError(f"{path}: degenerate shape {t} x {d} in header")
+        raise FormatError(f"{path}: degenerate shape {t} x {d} in header at byte 4")
     return np.frombuffer(blob, dtype="<f4", count=t * d, offset=12).astype(np.float64).reshape(t, d)
 
 
@@ -196,6 +188,7 @@ def read_embeddings(path) -> dict:
     (count,) = struct.unpack_from("<I", blob, 4)
     offset = 8
     out = {}
+    first_dim = None
     for _ in range(count):
         try:
             (id_len,) = struct.unpack_from("<H", blob, offset)
@@ -205,6 +198,10 @@ def read_embeddings(path) -> dict:
                 raise FormatError(f"{path}: duplicate id '{utt_id}' at byte {offset}")
             offset += id_len
             (dim,) = struct.unpack_from("<I", blob, offset)
+            if first_dim not in (None, dim):
+                raise FormatError(f"{path}: vector '{utt_id}' at byte {offset} has {dim} values, "
+                                  f"the first record has {first_dim}")
+            first_dim = dim
             offset += 4
             if len(blob) < offset + 4 * dim:
                 raise FormatError(f"{path}: truncated vector at byte {len(blob)}, need {offset + 4 * dim}")

@@ -144,9 +144,6 @@ class MetricsReport:
     num_target: int
     num_nontarget: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def compute_metrics(scores, labels) -> MetricsReport:
     scores = np.asarray(scores, dtype=np.float64)
@@ -329,7 +326,7 @@ def join_scores_with_trials(scores: dict, trials: list) -> tuple:
 
 
 def metrics_json(report: MetricsReport, extra: dict | None = None) -> str:
-    payload = report.to_dict()
+    payload = asdict(report)
     if extra:
         payload.update(extra)
     return json.dumps(payload, sort_keys=True, indent=2)

@@ -9,15 +9,17 @@ a configurable utterance-level affine.
 
 Training forwards a whole batch of equal-length chunks at once so that
 batch norm statistics cover every frame in the batch; splicing and pooling
-still treat each chunk separately. That batched forward and its backward
-are the only training path: the gradient checker runs them on a batch of
-one chunk.
+still treat each chunk separately, and pooling is one call for the whole
+batch in each direction. That batched forward and its backward are the
+only training path: the gradient checker runs them on a batch of one
+chunk.
 
 Inference processes one utterance per forward call through an
-InferencePlan. With frozen running statistics a batch norm is a per-column
-affine map, and splicing only gathers columns, so each batch norm that
-feeds another affine (the next frame block's, the compatibility net's) is
-folded into that affine's weights. The two batch norms that feed pooling,
+InferencePlan and pools it as a batch of one through the same pooling
+call. With frozen running statistics a batch norm is a per-column affine
+map, and splicing only gathers columns, so each batch norm that feeds
+another affine (the next frame block's, the compatibility net's) is folded
+into that affine's weights. The two batch norms that feed pooling,
 on the values and on the compatibility output, still run as batch norms:
 the variance floor and the softmax are not affine.
 """
@@ -119,13 +121,6 @@ class ModelConfig:
                 raise ConfigError(
                     f"heads: {self.heads} does not divide the query dimension {self.query_dim}"
                 )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "model config") -> "ModelConfig":
-        return from_json(cls, d, where)
 
 
 @dataclass
@@ -307,28 +302,29 @@ class Model:
         values = plan.values_bn.forward(h)
         attention = None
         if isinstance(self.pool, StatsPool):
-            pooled, _ = self.pool.pool(values)
+            pooled, _ = self.pool.pool(values[None])
         else:
             # the key block's batch norm is folded into plan.compat[0]
             c = frame_acts[self.config.effective_key_layer - 1]
             for affine, act in plan.compat:
                 c = act.forward(affine.forward(c))
-            pooled, attention, _ = self.pool.pool_from_compat(values, plan.compat_bn.forward(c))
-        z = pooled[None, :]
+            pooled, (attention,), _ = self.pool.pool_from_compat(values[None], plan.compat_bn.forward(c)[None])
+        z = pooled
         preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
             z = affine.forward(z)
             preacts.append(z[0].copy())
             z = act.forward(z)
         posteriors = self.softmax.forward(self.classifier.forward(z))
-        return ForwardTrace(posteriors, frame_acts, values, pooled, preacts, attention)
+        return ForwardTrace(posteriors, frame_acts, values, pooled[0], preacts, attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.
 
         Batch norm statistics run over all B*T frames together; splicing and
-        pooling stay per chunk. Returns (posteriors (B, K), cache); hand the
-        cache back to backward_batch.
+        pooling stay per chunk, and one pooling call covers the batch.
+        Returns (posteriors (B, K), cache); hand the cache back to
+        backward_batch.
         """
         x = np.asarray(chunks, dtype=np.float64)
         if x.ndim != 3:
@@ -349,44 +345,30 @@ class Model:
             h = flat.reshape(b, t, flat.shape[1])
             if attention and i == key_idx:
                 keys_flat = flat
-        values = h
-        pooled = np.empty((b, 2 * values.shape[2]))
-        pool_caches = []
         if attention:
             compat = self.pool.net.forward(keys_flat, train)
-            compat = compat.reshape(b, t, compat.shape[1])
-            for i in range(b):
-                pooled[i], _, cache = self.pool.pool_from_compat(values[i], compat[i])
-                pool_caches.append(cache)
+            z, _, pool_cache = self.pool.pool_from_compat(h, compat.reshape(b, t, compat.shape[1]))
         else:
-            for i in range(b):
-                pooled[i], cache = self.pool.pool(values[i])
-                pool_caches.append(cache)
-        z = pooled
+            z, pool_cache = self.pool.pool(h)
         for affine, act in zip(self.utt_affines, self.utt_acts):
             z = act.forward(affine.forward(z, train), train)
         posteriors = self.softmax.forward(self.classifier.forward(z, train), train)
-        return posteriors, (pool_caches, (b, t))
+        return posteriors, pool_cache
 
     def backward_batch(self, d_posteriors: np.ndarray, cache) -> np.ndarray:
         """Backpropagate one batched forward; accumulates parameter gradients
         and returns the gradient w.r.t. the (B, T, d) input."""
-        pool_caches, (b, t) = cache
         g = self.softmax.backward(d_posteriors)
         g = self.classifier.backward(g)
         for affine, act in zip(reversed(self.utt_affines), reversed(self.utt_acts)):
             g = affine.backward(act.backward(g))
-        d_v = g.shape[1] // 2
-        d_values = np.empty((b, t, d_v))
         d_keys_flat = None
         if isinstance(self.pool, StatsPool):
-            for i in range(b):
-                d_values[i] = self.pool.pool_backward(pool_caches[i], g[i])
+            d_values = self.pool.pool_backward(cache, g)
         else:
-            d_compat = np.empty((b, t, self.pool.net.out_dim))
-            for i in range(b):
-                d_values[i], d_compat[i] = self.pool.backward_from_compat(pool_caches[i], g[i])
-            d_keys_flat = self.pool.net.backward(d_compat.reshape(b * t, d_compat.shape[2]))
+            d_values, d_compat = self.pool.backward_from_compat(cache, g)
+            d_keys_flat = self.pool.net.backward(d_compat.reshape(-1, d_compat.shape[2]))
+        b, t, d_v = d_values.shape
         key_idx = self.config.effective_key_layer - 1
         g_flat = d_values.reshape(b * t, d_v)
         for layer in reversed(range(len(self.frame_blocks))):
@@ -414,7 +396,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    config_blob = json.dumps(model.config.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    config_blob = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(config_blob)))
@@ -428,8 +410,10 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a model checkpoint (bad magic at byte 0)")
+    if len(blob) < 12:
+        raise FormatError(f"{path}: truncated header at byte {len(blob)}, need 12 bytes")
     (config_len,) = struct.unpack_from("<Q", blob, 4)
     offset = 12
     if len(blob) < offset + config_len:
@@ -446,9 +430,10 @@ def load_model(path) -> Model:
         if len(blob) < offset + 8:
             raise FormatError(f"{path}: truncated at byte {len(blob)} reading count for {name}")
         (count,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
         if count != array.size:
-            raise FormatError(f"{path}: tensor {name} has {count} elements, expected {array.size}")
+            raise FormatError(f"{path}: tensor {name} has {count} elements, expected {array.size} "
+                              f"(count at byte {offset})")
+        offset += 8
         end = offset + 8 * count
         if len(blob) < end:
             raise FormatError(f"{path}: truncated at byte {len(blob)}, tensor {name} ends at {end}")

@@ -1,18 +1,19 @@
 """Temporal pooling layers: statistics, attention, and multi-head attention.
 
-All three reduce a T x d_v value sequence to a single 2*d_v vector holding a
-weighted per-dimension mean followed by a weighted per-dimension standard
-deviation. Statistics pooling fixes the weights at 1/T; the attention
-variants derive them from a softmax over per-frame query/key compatibility
-scores. The multi-head variant splits values, compatibility outputs and
-query into h contiguous sub-vectors, pools each independently and
-concatenates means-first, so the output layout and length match the single
-head case; single-head attention is the multi-head pool with h=1.
+Each pools a batch in one call: a (B, T, d_v) stack of chunks becomes a
+(B, 2*d_v) matrix whose row i holds chunk i's weighted per-dimension mean
+followed by its weighted per-dimension standard deviation. Weights and
+statistics are per chunk; no chunk sees another. Statistics pooling fixes
+the weights at 1/T; the attention variants derive them from a softmax over
+per-frame query/key compatibility scores. The multi-head variant splits
+values, compatibility outputs and query into h contiguous sub-vectors,
+pools each independently and concatenates means-first, so the output
+layout and length match the single head case; single-head attention is the
+multi-head pool with h=1. Heads are an axis of the arrays, not a loop.
 
 Pooling is stateless: each pooling call returns a cache that the matching
-backward call takes back, so one pool serves every chunk of a batch.
+backward call takes back. Inference pools one utterance as a batch of one.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -26,46 +27,61 @@ EPS_VAR = 1e-10
 
 
 def _weighted_stats(values: np.ndarray, alpha: np.ndarray):
-    """Weighted mean and standard deviation over time.
+    """Weighted mean and standard deviation over time, per chunk and head.
 
-    Returns the pooled [mean; std] vector plus the cache the backward pass
-    needs. Both stats and attention pooling funnel through here so the
-    uniform-weights case reduces to statistics pooling bit-for-bit.
+    values is (B, T, d) and alpha (B, h, T); head i pools the i-th of h
+    contiguous d/h-column slices of the values with weights alpha[:, i].
+    Returns the (B, 2d) pooled [means of every head; stds of every head]
+    plus the cache the backward pass needs. Both stats and attention
+    pooling funnel through here so the uniform-weights case reduces to
+    statistics pooling bit-for-bit.
     """
-    mean = alpha @ values
-    centered = values - mean
-    var = alpha @ (centered**2)
-    std = np.sqrt(var + EPS_VAR)
-    out = np.concatenate([mean, std])
-    return out, (alpha, values, centered, std)
+    b, t, d = values.shape
+    h = alpha.shape[1]
+    v = values.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)  # (B, h, T, d/h)
+    a = alpha[:, :, None, :]  # (B, h, 1, T)
+    mean = a @ v
+    squares = v - mean
+    squares *= squares  # in place: no second (B, h, T, d/h) array
+    std = np.sqrt(a @ squares + EPS_VAR)
+    out = np.concatenate([mean.reshape(b, d), std.reshape(b, d)], axis=1)
+    # no (B, T, d) array beyond the values: the backward recomputes v - mean
+    return out, (alpha, v, mean, std)
 
 
-def _weighted_stats_backward(cache, d_mean: np.ndarray, d_std: np.ndarray):
-    """Gradients of the pooled vector w.r.t. values and weights.
+def _weighted_stats_backward(cache, grad_out: np.ndarray, weights: bool = True):
+    """Gradients of the (B, 2d) pooled output w.r.t. the (B, T, d) values
+    and, when ``weights``, the (B, h, T) weights (else None).
 
     Uses sum_t alpha_t * centered_t = 0, which kills the indirect mean terms:
       d var / d v_t  = 2 alpha_t * centered_t
       d var / d a_t  = centered_t ** 2
     """
-    alpha, values, centered, std = cache
+    alpha, v, mean, std = cache
+    b, h, t, dh = v.shape
+    d_mean, d_std = grad_out.reshape(b, 2, h, 1, dh).transpose(1, 0, 2, 3, 4)
     d_var = d_std / (2.0 * std)
-    d_values = alpha[:, None] * (d_mean + 2.0 * d_var * centered)
-    d_alpha = values @ d_mean + (centered**2) @ d_var
-    return d_values, d_alpha
+    centered = v - mean
+    d_alpha = ((v @ d_mean.swapaxes(2, 3) + (centered * centered) @ d_var.swapaxes(2, 3))[..., 0]
+               if weights else None)
+    # d_values = alpha * (d_mean + 2 d_var * centered), built in centered
+    centered *= 2.0 * d_var
+    centered += d_mean
+    centered *= alpha[..., None]
+    return centered.transpose(0, 2, 1, 3).reshape(b, t, h * dh), d_alpha
 
 
 class StatsPool:
     """Statistics pooling: uniform-weight mean and standard deviation."""
 
     def pool(self, values: np.ndarray):
-        """Stateless pooling; returns (pooled, cache)."""
-        t = values.shape[0]
-        return _weighted_stats(values, np.full(t, 1.0 / t))
+        """Pool a (B, T, d) batch; returns ((B, 2d) pooled, cache)."""
+        b, t, _ = values.shape
+        return _weighted_stats(values, np.full((b, 1, t), 1.0 / t))
 
     def pool_backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        d = grad_out.shape[0] // 2
-        d_values, _ = _weighted_stats_backward(cache, grad_out[:d], grad_out[d:])
-        return d_values
+        """(B, 2d) output gradient -> (B, T, d) value gradient."""
+        return _weighted_stats_backward(cache, grad_out, weights=False)[0]
 
 
 class CompatibilityNet:
@@ -133,47 +149,32 @@ class MultiHeadPool:
         return self.net.parameters() + [self.query]
 
     def pool_from_compat(self, values: np.ndarray, compat: np.ndarray):
-        """Head-split pooling against precomputed compatibility outputs.
+        """Head-split pooling of (B, T, d_v) values against (B, T, d_q)
+        precomputed compatibility outputs.
 
-        Stateless: returns (pooled, weights, cache) so a trainer can run the
-        compatibility net once over a whole batch and still pool chunk by
-        chunk.
+        Stateless: returns ((B, 2 d_v) pooled, (B, h, T) weights, cache), so
+        a trainer can run the compatibility net once over a whole batch.
         """
         h = self.heads
-        d_v = values.shape[1]
+        b, t, d_v = values.shape
         d_q = self.net.out_dim
         if d_v % h != 0:
             raise ConfigError(f"heads={h} does not divide the value dimension {d_v}")
         if d_q % h != 0:
             raise ConfigError(f"heads={h} does not divide the query dimension {d_q}")
-        dvh, dqh = d_v // h, d_q // h
-        means, stds, weights, head_caches = [], [], [], []
-        for i in range(h):
-            logits = compat[:, i * dqh : (i + 1) * dqh] @ self.query.value[i * dqh : (i + 1) * dqh]
-            alpha = softmax_rows(logits[None, :])[0]
-            out_i, ws_cache = _weighted_stats(values[:, i * dvh : (i + 1) * dvh], alpha)
-            means.append(out_i[:dvh])
-            stds.append(out_i[dvh:])
-            weights.append(alpha)
-            head_caches.append(ws_cache)
-        cache = (head_caches, compat, values.shape, dvh, dqh)
-        return np.concatenate(means + stds), np.stack(weights), cache
+        c = compat.reshape(b, t, h, d_q // h).transpose(0, 2, 1, 3)  # (B, h, T, d_q/h)
+        alpha = softmax_rows((c @ self.query.value.reshape(h, d_q // h, 1))[..., 0])
+        pooled, ws_cache = _weighted_stats(values, alpha)
+        return pooled, alpha, (ws_cache, c)
 
     def backward_from_compat(self, cache, grad_out: np.ndarray):
         """Counterpart of pool_from_compat: accumulates the query gradient,
-        returns (d_values, d_compat)."""
-        head_caches, compat, values_shape, dvh, dqh = cache
-        d_v = values_shape[1]
-        d_values = np.empty(values_shape)
-        d_compat = np.empty_like(compat)
-        for i, ws_cache in enumerate(head_caches):
-            alpha = ws_cache[0]
-            d_vals_i, d_alpha = _weighted_stats_backward(
-                ws_cache, grad_out[i * dvh : (i + 1) * dvh],
-                grad_out[d_v + i * dvh : d_v + (i + 1) * dvh])
-            d_logits = alpha * (d_alpha - float(alpha @ d_alpha))
-            d_values[:, i * dvh : (i + 1) * dvh] = d_vals_i
-            q_i = self.query.value[i * dqh : (i + 1) * dqh]
-            self.query.grad[i * dqh : (i + 1) * dqh] += compat[:, i * dqh : (i + 1) * dqh].T @ d_logits
-            d_compat[:, i * dqh : (i + 1) * dqh] = np.outer(d_logits, q_i)
-        return d_values, d_compat
+        returns ((B, T, d_v) d_values, (B, T, d_q) d_compat)."""
+        ws_cache, c = cache
+        alpha = ws_cache[0]
+        b, h, t, dqh = c.shape
+        d_values, d_alpha = _weighted_stats_backward(ws_cache, grad_out)
+        d_logits = alpha * (d_alpha - (alpha[..., None, :] @ d_alpha[..., None])[..., 0])
+        self.query.grad += (c.swapaxes(2, 3) @ d_logits[..., None]).sum(axis=0).reshape(h * dqh)
+        d_compat = d_logits.transpose(0, 2, 1)[..., None] * self.query.value.reshape(h, dqh)
+        return d_values, d_compat.reshape(b, t, h * dqh)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .config import from_json
 from .data import Dataset, make_batches
 from .errors import ConfigError, DataError, TrainingError
 from .model import Model, save_model
@@ -63,13 +62,6 @@ class TrainConfig:
             raise ConfigError(f"chunk_len: must be >= 1, got {self.chunk_len}")
         if self.epochs < 1:
             raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
-
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "train config") -> "TrainConfig":
-        return from_json(cls, d, where)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Optimizer:

@@ -56,9 +56,10 @@ def assert_grads_close(analytic, numeric, threshold=FD_THRESHOLD, atol=FD_ATOL, 
 
 def logit_pool():
     """Single-head attention pooling over given per-frame logits, as the
-    package has it: MultiHeadPool with h=1 and the query [1]. Fed the logits
-    as a one-column compatibility matrix, compat @ query reproduces them
-    exactly, and d_compat from backward_from_compat is the logit gradient."""
+    package has it: MultiHeadPool with h=1 and the query [1]. Fed (B, T)
+    logits as a (B, T, 1) compatibility array, compat @ query reproduces
+    them exactly, and d_compat[..., 0] from backward_from_compat is the
+    logit gradient."""
     net = CompatibilityNet.build(np.random.default_rng(0), 1, [1])
     return MultiHeadPool(net, Parameter("query", np.ones(1)), heads=1)
 

@@ -113,21 +113,21 @@ def test_criterion_1_gradient_suite():
     dx = sp.backward_batch(c_sp)
     track(dx, numeric_grad(lambda: float(np.sum(c_sp * sp.forward_batch(x))), x), "splice.x")
 
-    # stats pooling
-    values = rng.standard_normal((7, 6))
-    c_pool = rng.standard_normal(12)
+    # stats pooling, on a batch of one chunk
+    values = rng.standard_normal((1, 7, 6))
+    c_pool = rng.standard_normal((1, 12))
     pool = StatsPool()
     dv = pool.pool_backward(pool.pool(values)[1], c_pool)
-    track(dv, numeric_grad(lambda: float(c_pool @ pool.pool(values)[0]), values), "stats_pool.values")
+    track(dv, numeric_grad(lambda: float(np.sum(c_pool * pool.pool(values)[0])), values), "stats_pool.values")
 
     # attention pooling over explicit logits: one head, query [1], the
     # logits as a one-column compatibility output
-    logits = rng.standard_normal(7)
+    logits = rng.standard_normal((1, 7))
     att = logit_pool()
-    dv, d_compat = att.backward_from_compat(att.pool_from_compat(values, logits[:, None])[2], c_pool)
-    fn = lambda: float(c_pool @ att.pool_from_compat(values, logits[:, None])[0])
+    dv, d_compat = att.backward_from_compat(att.pool_from_compat(values, logits[..., None])[2], c_pool)
+    fn = lambda: float(np.sum(c_pool * att.pool_from_compat(values, logits[..., None])[0]))
     track(dv, numeric_grad(fn, values), "attention.values")
-    track(d_compat[:, 0], numeric_grad(fn, logits), "attention.logits")
+    track(d_compat[..., 0], numeric_grad(fn, logits), "attention.logits")
     track(att.query.grad, numeric_grad(fn, att.query.value), "attention.query")
 
     # multihead pooling including its compatibility net and query
@@ -135,9 +135,9 @@ def test_criterion_1_gradient_suite():
     net = CompatibilityNet.build(rng, 6, [4])
     query = Parameter("q", rng.standard_normal(4) * 0.1)
     mh = MultiHeadPool(net, query, heads=2)
-    dv, d_compat = mh.backward_from_compat(mh.pool_from_compat(values, net.forward(keys, train=True))[2], c_pool)
-    dk = net.backward(d_compat)
-    fn = lambda: float(c_pool @ mh.pool_from_compat(values, net.forward(keys, train=True))[0])
+    dv, d_compat = mh.backward_from_compat(mh.pool_from_compat(values, net.forward(keys, train=True)[None])[2], c_pool)
+    dk = net.backward(d_compat[0])
+    fn = lambda: float(np.sum(c_pool * mh.pool_from_compat(values, net.forward(keys, train=True)[None])[0]))
     track(dv, numeric_grad(fn, values), "multihead.values")
     track(dk, numeric_grad(fn, keys), "multihead.keys")
     track(query.grad, numeric_grad(fn, query.value), "multihead.query")
@@ -178,10 +178,10 @@ def test_criterion_2_pooling_equivalences():
 
     # single-head attention over given logits is the h=1 pool with query [1]
     def att(logits):
-        return logit_pool().pool_from_compat(values, np.asarray(logits)[:, None])[0]
+        return logit_pool().pool_from_compat(values[None], np.asarray(logits)[None, :, None])[0][0]
 
     att_const = att(np.full(7, 3.7))
-    stats, _ = StatsPool().pool(values)
+    (stats,), _ = StatsPool().pool(values[None])
     np.testing.assert_allclose(att_const, stats, rtol=0, atol=EQUIV_EXACT)
     reference_const, _ = reference_attention_pool(values, np.full(7, 3.7))
     np.testing.assert_allclose(reference_const, stats, rtol=0, atol=EQUIV_EXACT)
@@ -189,7 +189,7 @@ def test_criterion_2_pooling_equivalences():
     net = CompatibilityNet.build(rng, 6, [4])
     query = Parameter("q", rng.standard_normal(4) * 0.1)
     compat = net.forward(keys)
-    pooled_mh, _, _ = MultiHeadPool(net, query, heads=1).pool_from_compat(values, compat)
+    (pooled_mh,), _, _ = MultiHeadPool(net, query, heads=1).pool_from_compat(values[None], compat[None])
     logits = compat @ query.value
     pooled_single, _ = reference_attention_pool(values, logits)
     np.testing.assert_allclose(pooled_mh, pooled_single, rtol=0, atol=EQUIV_EXACT)
@@ -200,9 +200,9 @@ def test_criterion_2_pooling_equivalences():
     np.testing.assert_allclose(shifted, base, rtol=0, atol=EQUIV_INVARIANT)
 
     mh2 = MultiHeadPool(net, query, heads=2)
-    pooled_a, _, _ = mh2.pool_from_compat(values, net.forward(keys))
+    (pooled_a,), _, _ = mh2.pool_from_compat(values[None], net.forward(keys)[None])
     perm = rng.permutation(7)
-    pooled_b, _, _ = mh2.pool_from_compat(values[perm], net.forward(keys[perm]))
+    (pooled_b,), _, _ = mh2.pool_from_compat(values[None, perm], net.forward(keys[perm])[None])
     np.testing.assert_allclose(pooled_b, pooled_a, rtol=0, atol=EQUIV_INVARIANT)
 
     print(f"criterion 2 PASS: equivalences within {EQUIV_EXACT:g}, "

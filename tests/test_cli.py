@@ -124,6 +124,18 @@ class TestUsageAndConfigErrors:
                      "--data", str(tmp_path / "no-data"),
                      "--out", str(tmp_path / "e.xve")]) == 2
 
+    def test_mixed_length_embeddings_are_exit_2(self, tmp_path, capsys):
+        emb = tmp_path / "mixed.xve"
+        data.write_embeddings(emb, {"a": np.ones(3), "b": np.ones(4)})
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("a\tb\ttarget\n")
+        rc = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                   "--out", str(tmp_path / "s.tsv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        # b's length field follows the header (8), a's record (2+1+4+12) and b's id (2+1)
+        assert err == [f"error: {emb}: vector 'b' at byte 30 has 4 values, the first record has 3"]
+
     def test_corrupt_model_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.xvm"
         bad.write_bytes(b"not a model at all")

@@ -2,7 +2,7 @@ import contextlib
 import copy
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -71,7 +71,7 @@ def replaced(path, value) -> dict:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("config")
-    data.write_dataset(data.gen_synthetic(data.SynthConfig.from_dict(BASE["synth"]["train"])), root / "ds")
+    data.write_dataset(data.gen_synthetic(from_json(data.SynthConfig, BASE["synth"]["train"], "synth config")), root / "ds")
     return root
 
 
@@ -133,7 +133,7 @@ class TestFromJson:
             from_json(TrainConfig, {"epochs": 0}, "run.json: train")
 
     def test_integer_lr_widens_to_float(self):
-        assert TrainConfig.from_dict({"lr": 1}).to_dict()["lr"] == 1.0
+        assert asdict(from_json(TrainConfig, {"lr": 1}, "train config"))["lr"] == 1.0
 
 
 class TestRunConfigErrors:

@@ -1,8 +1,10 @@
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from xvec.config import from_json
 from xvec.data import (
     Dataset,
     FEATURE_MAGIC,
@@ -47,11 +49,11 @@ class TestSynthConfig:
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="speakers"):
-            SynthConfig.from_dict({"speakers": 4})
+            from_json(SynthConfig, {"speakers": 4}, "synth config")
 
     def test_round_trip(self):
         cfg = small_config()
-        assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(SynthConfig, asdict(cfg), "synth config") == cfg
 
 
 class TestStationaryFraction:
@@ -156,7 +158,7 @@ class TestFeatureFiles:
     def test_degenerate_shape(self, tmp_path):
         path = tmp_path / "zero.xvf"
         path.write_bytes(FEATURE_MAGIC + struct.pack("<II", 0, 3))
-        with pytest.raises(FormatError, match="shape"):
+        with pytest.raises(FormatError, match="shape 0 x 3 in header at byte 4"):
             read_features(path)
 
 

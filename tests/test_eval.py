@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ class TestMinDCF:
         np.testing.assert_allclose(report.eer, 1.0 / 3.0, atol=1e-12)
         assert report.num_trials == 6
         assert report.num_target == 3 and report.num_nontarget == 3
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {"eer", "min_dcf08", "min_dcf10", "num_trials",
                           "num_target", "num_nontarget"}
 

@@ -1,10 +1,12 @@
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from helpers import reference_forward
 
+from xvec.config import from_json
 from xvec.data import Dataset, Utterance
 from xvec.errors import ConfigError, DataError, FormatError
 from xvec.model import (
@@ -90,21 +92,21 @@ class TestModelConfig:
             cfg.validate()
 
     def test_unknown_key_is_named(self):
-        d = tiny_config().to_dict()
+        d = asdict(tiny_config())
         d["pooling_kind"] = "stats"
         with pytest.raises(ConfigError, match="pooling_kind"):
-            ModelConfig.from_dict(d)
+            from_json(ModelConfig, d, "model config")
 
     def test_unknown_frame_layer_key_is_named(self):
-        d = tiny_config().to_dict()
+        d = asdict(tiny_config())
         d["frame_layers"][0]["with"] = 9
         with pytest.raises(ConfigError, match="with"):
-            ModelConfig.from_dict(d)
+            from_json(ModelConfig, d, "model config")
 
     def test_round_trip(self):
         for pooling in ("stats", "attention", "multihead"):
             cfg = tiny_config(pooling)
-            assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+            assert from_json(ModelConfig, asdict(cfg), "model config") == cfg
 
     def test_key_layer_zero_means_last(self):
         assert tiny_config(key_layer=0).effective_key_layer == 3
@@ -241,7 +243,7 @@ class TestForward:
             model = build_model(tiny_config(pooling), seed=7)
             model.pool.query.value *= 1e-3
             trace = model.forward(x)
-            reference, _ = StatsPool().pool(trace.values)
+            (reference,), _ = StatsPool().pool(trace.values[None])
             rel = np.abs(trace.pooled - reference) / np.maximum(np.abs(reference), 1e-8)
             assert rel.max() < 1e-2
             assert trace.attention.max() < 0.5  # nothing collapses to one frame
@@ -492,7 +494,7 @@ class TestCheckpoint:
         (config_len,) = struct.unpack_from("<Q", blob, 4)
         struct.pack_into("<Q", blob, 12 + config_len, 999)
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="999"):
+        with pytest.raises(FormatError, match=rf"999 elements.*\(count at byte {12 + config_len}\)$"):
             load_model(path)
 
     def test_wrongly_typed_config(self, tmp_path):
@@ -509,5 +511,5 @@ class TestCheckpoint:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.xvm"
         path.write_bytes(CHECKPOINT_MAGIC + b"\x01")
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match="truncated header at byte 5"):
             load_model(path)

@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from xvec.config import from_json
 from xvec.data import Dataset, SynthConfig, Utterance, gen_synthetic
 from xvec.errors import ConfigError, DataError, TrainingError
 from xvec.model import FrameLayerSpec, ModelConfig, build_model, load_model
@@ -75,11 +77,11 @@ class TestTrainConfig:
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="learning_rate"):
-            TrainConfig.from_dict({"learning_rate": 0.1})
+            from_json(TrainConfig, {"learning_rate": 0.1}, "train config")
 
     def test_round_trip(self):
         cfg = TrainConfig(optimizer="sgd_momentum", lr=0.05, epochs=3)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(TrainConfig, asdict(cfg), "train config") == cfg
 
 
 class TestOptimizer:
