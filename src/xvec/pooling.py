@@ -61,14 +61,18 @@ def _weighted_stats_backward(cache, grad_out: np.ndarray, weights: bool = True):
     b, h, t, dh = v.shape
     d_mean, d_std = grad_out.reshape(b, 2, h, 1, dh).transpose(1, 0, 2, 3, 4)
     d_var = d_std / (2.0 * std)
-    centered = v - mean
-    d_alpha = ((v @ d_mean.swapaxes(2, 3) + (centered * centered) @ d_var.swapaxes(2, 3))[..., 0]
-               if weights else None)
-    # d_values = alpha * (d_mean + 2 d_var * centered), built in centered
-    centered *= 2.0 * d_var
-    centered += d_mean
-    centered *= alpha[..., None]
-    return centered.transpose(0, 2, 1, 3).reshape(b, t, h * dh), d_alpha
+    # one (B, h, T, d/h) array holds the squares of the centered values for
+    # d_alpha, then d_values = alpha * (d_mean + 2 d_var * centered)
+    work = v - mean
+    d_alpha = None
+    if weights:
+        work *= work
+        d_alpha = (v @ d_mean.swapaxes(2, 3) + work @ d_var.swapaxes(2, 3))[..., 0]
+        np.subtract(v, mean, out=work)
+    work *= 2.0 * d_var
+    work += d_mean
+    work *= alpha[..., None]
+    return work.transpose(0, 2, 1, 3).reshape(b, t, h * dh), d_alpha
 
 
 class StatsPool:
