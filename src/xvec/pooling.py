@@ -14,6 +14,7 @@ multi-head pool with h=1. Heads are an axis of the arrays, not a loop.
 Pooling is stateless: each pooling call returns a cache that the matching
 backward call takes back. Inference pools one utterance as a batch of one.
 """
+
 from __future__ import annotations
 
 import numpy as np
