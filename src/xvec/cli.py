@@ -225,6 +225,8 @@ def _tiny_config(pooling: str) -> ModelConfig:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.frames < 2:  # train-mode batch norm needs two frames to normalize
+        raise ConfigError(f"--frames: must be >= 2, got {args.frames}")
     if args.config:
         cfg = load_run_config(args.config)
         if cfg.model is None:

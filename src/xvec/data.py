@@ -88,9 +88,6 @@ class Dataset:
     def label(self, utt: Utterance) -> int:
         return self._label[utt.speaker]
 
-    def by_id(self) -> dict:
-        return {u.utt_id: u for u in self.utterances}
-
 
 def stationary_on_fraction(p_stay_on: float, p_stay_off: float) -> float:
     """Stationary probability of the gate's on state."""
@@ -127,7 +124,62 @@ def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Dataset:
     return Dataset(utterances, speakers, split)
 
 
-# -- feature files ---------------------------------------------------------
+# -- binary files: .xvf, .xve and .xvm --------------------------------------
+
+
+def _write_binary(path, magic: bytes, *parts) -> None:
+    """Write the magic, then each part (bytes or a contiguous array) as is."""
+    with open(path, "wb") as f:
+        f.writelines((magic, *parts))
+
+
+class _BinaryReader:
+    """A cursor over a little-endian file, past its checked magic. Every read
+    error is a FormatError naming the file and the byte; a short read is
+    "truncated <what> at byte <file length>"."""
+
+    def __init__(self, path, magic: bytes, kind: str):
+        self.path = path
+        self.buf = memoryview(Path(path).read_bytes())
+        self.pos = 0
+        if self.take_bytes(len(magic), "header") != magic:
+            raise self.error(f"not {kind} (bad magic at byte 0)")
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.path}: {message}")
+
+    def _skip(self, n: int, what: str) -> int:
+        if self.pos + n > len(self.buf):
+            raise self.error(f"truncated {what} at byte {len(self.buf)}")
+        self.pos += n
+        return self.pos - n
+
+    def take(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._skip(struct.calcsize(fmt), what))
+
+    def take_bytes(self, n: int, what: str) -> bytes:
+        return bytes(self.buf[self._skip(n, what) : self.pos])
+
+    def take_text(self, n: int, what: str) -> str:
+        start = self._skip(n, what)
+        try:
+            return str(self.buf[start : self.pos], "utf-8")
+        except UnicodeDecodeError as e:
+            raise self.error(f"{what} is not UTF-8 at byte {start + e.start} (0x{e.object[e.start]:02x})") from None
+
+    def take_array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """count values as a read-only view of the file; a non-finite one is an error."""
+        size = np.dtype(dtype).itemsize
+        start = self._skip(size * count, what)
+        array = np.frombuffer(self.buf, dtype, count, start)
+        finite = np.isfinite(array)
+        if not finite.all():
+            raise self.error(f"non-finite value in {what} at byte {start + size * int(np.argmin(finite))}")
+        return array
+
+    def finish(self) -> None:
+        if self.pos != len(self.buf):
+            raise self.error(f"{len(self.buf) - self.pos} trailing bytes at byte {self.pos}")
 
 
 def write_features(path, features: np.ndarray) -> None:
@@ -136,32 +188,17 @@ def write_features(path, features: np.ndarray) -> None:
         raise DataError(f"features must be 2-D, got shape {feats.shape}")
     if not np.all(np.isfinite(feats)):
         raise DataError("refusing to write non-finite features")
-    t, d = feats.shape
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<II", t, d))
-        f.write(np.ascontiguousarray(feats, dtype="<f4").tobytes())
+    _write_binary(path, FEATURE_MAGIC, struct.pack("<II", *feats.shape), np.ascontiguousarray(feats, dtype="<f4"))
 
 
 def read_features(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12:
-        raise FormatError(f"{path}: truncated header at byte {len(blob)}, need 12 bytes")
-    if blob[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte 0")
-    t, d = struct.unpack_from("<II", blob, 4)
-    expected = 12 + 4 * t * d
-    if len(blob) < expected:
-        raise FormatError(f"{path}: truncated at byte {len(blob)}, expected {expected} bytes")
-    if len(blob) > expected:
-        raise FormatError(f"{path}: {len(blob) - expected} trailing bytes at byte {expected}")
+    r = _BinaryReader(path, FEATURE_MAGIC, "a feature file")
+    t, d = r.take("<II", "header")
     if t < 1 or d < 1:
-        raise FormatError(f"{path}: degenerate shape {t} x {d} in header at byte 4")
-    return np.frombuffer(blob, dtype="<f4", count=t * d, offset=12).astype(np.float64).reshape(t, d)
-
-
-# -- embedding files --------------------------------------------------------
+        raise r.error(f"degenerate shape {t} x {d} in header at byte 4")
+    feats = r.take_array("<f4", t * d, "features")
+    r.finish()
+    return feats.astype(np.float64).reshape(t, d)
 
 
 def write_embeddings(path, embeddings: dict) -> None:
@@ -169,49 +206,31 @@ def write_embeddings(path, embeddings: dict) -> None:
     ids = [utt_id.encode() for utt_id in embeddings]
     if max(map(len, ids), default=0) > 0xFFFF:
         raise DataError(f"{path}: an utterance id is longer than the 65535 bytes the format allows")
-    with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<I", len(embeddings)))
-        for raw, vec in zip(ids, embeddings.values()):
-            v = np.ascontiguousarray(np.asarray(vec, dtype=np.float64), dtype="<f4")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", v.size))
-            f.write(v.tobytes())
+    parts = [struct.pack("<I", len(embeddings))]
+    for raw, vec in zip(ids, embeddings.values()):
+        v = np.ascontiguousarray(np.asarray(vec, dtype=np.float64), dtype="<f4")
+        parts += [struct.pack("<H", len(raw)), raw, struct.pack("<I", v.size), v]
+    _write_binary(path, EMBEDDING_MAGIC, *parts)
 
 
 def read_embeddings(path) -> dict:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 8 or blob[:4] != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: not an embeddings file (bad magic at byte 0)")
-    (count,) = struct.unpack_from("<I", blob, 4)
-    offset = 8
+    r = _BinaryReader(path, EMBEDDING_MAGIC, "an embeddings file")
+    (count,) = r.take("<I", "header")
     out = {}
     first_dim = None
     for _ in range(count):
-        try:
-            (id_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            utt_id = blob[offset : offset + id_len].decode()
-            if utt_id in out:
-                raise FormatError(f"{path}: duplicate id '{utt_id}' at byte {offset}")
-            offset += id_len
-            (dim,) = struct.unpack_from("<I", blob, offset)
-            if first_dim not in (None, dim):
-                raise FormatError(f"{path}: vector '{utt_id}' at byte {offset} has {dim} values, "
-                                  f"the first record has {first_dim}")
-            first_dim = dim
-            offset += 4
-            if len(blob) < offset + 4 * dim:
-                raise FormatError(f"{path}: truncated vector at byte {len(blob)}, need {offset + 4 * dim}")
-            vec = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset).astype(np.float64)
-            offset += 4 * dim
-        except (struct.error, UnicodeDecodeError) as e:
-            raise FormatError(f"{path}: truncated or corrupt record at byte {offset}: {e}") from e
-        out[utt_id] = vec
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")
+        (id_len,) = r.take("<H", "id length")
+        at = r.pos
+        utt_id = r.take_text(id_len, "id")
+        if utt_id in out:
+            raise r.error(f"duplicate id '{utt_id}' at byte {at}")
+        at = r.pos
+        (dim,) = r.take("<I", "vector length")
+        if first_dim not in (None, dim):
+            raise r.error(f"vector '{utt_id}' at byte {at} has {dim} values, the first record has {first_dim}")
+        first_dim = dim
+        out[utt_id] = r.take_array("<f4", dim, "vector").astype(np.float64)
+    r.finish()
     return out
 
 

@@ -35,10 +35,6 @@ def length_normalize(vec: np.ndarray) -> np.ndarray:
     return v / max(float(np.linalg.norm(v)), NORM_FLOOR)
 
 
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.dot(length_normalize(a), length_normalize(b)))
-
-
 def enrollment_models(embeddings: dict, enroll_map: dict) -> dict:
     """Average each speaker's enrollment segment embeddings, then length
     normalize. Raises when a mapped segment has no embedding."""

@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import from_json
+from .data import _BinaryReader, _write_binary
 from .errors import ConfigError, DataError, FormatError
 from .nn import Affine, BatchNorm, LeakyReLU, Parameter, Softmax, Splice, as_matrix
 from .pooling import CompatibilityNet, MultiHeadPool, StatsPool
@@ -397,48 +398,29 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 def save_model(model: Model, path) -> None:
     config_blob = json.dumps(asdict(model.config), sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(config_blob)))
-        f.write(config_blob)
-        for _, array in model.state_arrays():
-            flat = np.ascontiguousarray(array, dtype="<f8").ravel()
-            f.write(struct.pack("<Q", flat.size))
-            f.write(flat.tobytes())
+    parts = [struct.pack("<Q", len(config_blob)), config_blob]
+    for _, array in model.state_arrays():
+        flat = np.ascontiguousarray(array, dtype="<f8").ravel()
+        parts += [struct.pack("<Q", flat.size), flat]
+    _write_binary(path, CHECKPOINT_MAGIC, *parts)
 
 
 def load_model(path) -> Model:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a model checkpoint (bad magic at byte 0)")
-    if len(blob) < 12:
-        raise FormatError(f"{path}: truncated header at byte {len(blob)}, need 12 bytes")
-    (config_len,) = struct.unpack_from("<Q", blob, 4)
-    offset = 12
-    if len(blob) < offset + config_len:
-        raise FormatError(f"{path}: truncated config, need {offset + config_len} bytes, have {len(blob)}")
+    r = _BinaryReader(path, CHECKPOINT_MAGIC, "a model checkpoint")
+    (config_len,) = r.take("<Q", "header")
+    at = r.pos
     try:
-        config = from_json(ModelConfig, json.loads(blob[offset : offset + config_len]), f"{path}: config")
-    except ValueError as e:  # bad JSON or bad UTF-8
-        raise FormatError(f"{path}: invalid config JSON at byte {offset}: {e}") from e
+        config = from_json(ModelConfig, json.loads(r.take_text(config_len, "config")), f"{path}: config")
+    except ValueError as e:  # bad JSON
+        raise r.error(f"invalid config JSON at byte {at}: {e}") from e
     except ConfigError as e:
-        raise FormatError(f"{e} (config at byte {offset})") from e
-    offset += config_len
+        raise FormatError(f"{e} (config at byte {at})") from e
     model = build_model(config, seed=0)
     for name, array in model.state_arrays():
-        if len(blob) < offset + 8:
-            raise FormatError(f"{path}: truncated at byte {len(blob)} reading count for {name}")
-        (count,) = struct.unpack_from("<Q", blob, offset)
+        at = r.pos
+        (count,) = r.take("<Q", f"count for {name}")
         if count != array.size:
-            raise FormatError(f"{path}: tensor {name} has {count} elements, expected {array.size} "
-                              f"(count at byte {offset})")
-        offset += 8
-        end = offset + 8 * count
-        if len(blob) < end:
-            raise FormatError(f"{path}: truncated at byte {len(blob)}, tensor {name} ends at {end}")
-        array[...] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(array.shape)
-        offset += 8 * count
-    if offset != len(blob):
-        raise FormatError(f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")
+            raise r.error(f"tensor {name} has {count} elements, expected {array.size} (count at byte {at})")
+        array[...] = r.take_array("<f8", count, f"tensor {name}").reshape(array.shape)
+    r.finish()
     return model

@@ -187,6 +187,41 @@ class TestNonUtf8Text:
         self.assert_one_error(rc, capsys, bad)
 
 
+class TestBinaryReadErrors:
+    """A bad .xvf or .xve exits 2 with one error line naming the file and the byte."""
+
+    def assert_one_error(self, rc, capsys, expected):
+        assert rc == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {expected}"]
+
+    def score(self, tmp_path, emb):
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("a\tb\ttarget\n")
+        return main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(tmp_path / "s.tsv")])
+
+    def test_extract_non_finite_features(self, pipeline, tmp_path, capsys):
+        shutil.copytree(pipeline["corpus"] / "eval", tmp_path / "eval")
+        bad = sorted((tmp_path / "eval" / "feats").glob("*.xvf"))[1]
+        blob = bytearray(bad.read_bytes())
+        blob[32:36] = np.array(np.inf, dtype="<f4").tobytes()  # the sixth value, after the 12-byte header
+        bad.write_bytes(bytes(blob))
+        rc = main(["extract", "--model", str(pipeline["run"] / "model.xvm"),
+                   "--data", str(tmp_path / "eval"), "--out", str(tmp_path / "e.xve")])
+        self.assert_one_error(rc, capsys, f"{bad}: non-finite value in features at byte 32")
+
+    def test_score_truncated_header(self, tmp_path, capsys):
+        emb = tmp_path / "short.xve"
+        emb.write_bytes(b"XVE1\x01")
+        self.assert_one_error(self.score(tmp_path, emb), capsys, f"{emb}: truncated header at byte 5")
+
+    def test_score_id_not_utf8(self, tmp_path, capsys):
+        emb = tmp_path / "id.xve"
+        data.write_embeddings(emb, {"ab": np.ones(2)})
+        emb.write_bytes(emb.read_bytes().replace(b"ab", b"a\xff"))  # the id starts at byte 10
+        self.assert_one_error(self.score(tmp_path, emb), capsys, f"{emb}: id is not UTF-8 at byte 11 (0xff)")
+
+
 class TestGenData:
     def test_deterministic_bytes(self, tmp_path, capsys):
         cfg = micro_config(tmp_path)
@@ -371,6 +406,11 @@ class TestGradcheckCommand:
     def test_kink_seeds_pass(self, pooling, seed, capsys):
         assert main(["gradcheck", "--pooling", pooling, "--seed", str(seed)]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 1
+
+    @pytest.mark.parametrize("frames", ["-1", "0", "1"])
+    def test_too_few_frames_is_a_usage_error(self, frames, capsys):
+        assert main(["gradcheck", "--frames", frames]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: --frames: must be >= 2, got {frames}"]
 
     def test_config_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model={
