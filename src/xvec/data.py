@@ -1,4 +1,4 @@
-"""Synthetic speaker data, feature-file I/O and chunked batch streams.
+"""Synthetic speaker data, binary file I/O and chunked batch streams.
 
 Synthetic utterances carry a hidden two-state Markov "gate" marking which
 frames actually contain speaker information; the gate is stored as ground
@@ -134,7 +134,7 @@ def _write_binary(path, magic: bytes, *parts) -> None:
 
 
 class _BinaryReader:
-    """A cursor over a little-endian file, past its checked magic. Every read
+    """A cursor over a whole binary file, past its checked magic. Every read
     error is a FormatError naming the file and the byte; a short read is
     "truncated <what> at byte <file length>"."""
 
