@@ -62,7 +62,7 @@ def load_run_config(path) -> RunConfig:
     try:
         with open(path) as f:
             raw = json.load(f)
-    except ValueError as e:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as e:  # bad JSON, bad UTF-8 or nested too deep
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     return from_json(RunConfig, raw, str(path))
 
@@ -323,6 +323,10 @@ def main(argv=None) -> int:
         return e.exit_code
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a fault with no XvecError of its own: still one line, not a traceback
+        log.debug("unexpected fault", exc_info=True)
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

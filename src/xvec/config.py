@@ -5,6 +5,7 @@ integer, got a string"."""
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -33,9 +34,12 @@ def from_json(cls, value, where: str):
         return origin(from_json(typing.get_args(cls)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if cls is float:
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:  # an integer beyond the float range
             raise ConfigError(f"{where}: number out of range") from None
+        if not math.isfinite(number):  # JSON as Python reads it: NaN, Infinity, 1e999
+            raise ConfigError(f"{where}: expected a finite number")
+        return number
     if not is_dataclass(cls):
         return value
     known = {f.name: f for f in fields(cls)}

@@ -128,9 +128,20 @@ def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Dataset:
 
 
 def _write_binary(path, magic: bytes, *parts) -> None:
-    """Write the magic, then each part (bytes or a contiguous array) as is."""
+    """Write the magic, then each part (bytes or a contiguous array) as is.
+    A non-finite array value is refused before the file is opened, so every
+    file written reads back."""
+    if not all(np.isfinite(part).all() for part in parts if isinstance(part, np.ndarray)):
+        raise DataError(f"{path}: refusing to write a non-finite value")
     with open(path, "wb") as f:
         f.writelines((magic, *parts))
+
+
+def _float32(values) -> np.ndarray:
+    """values as contiguous little-endian float32. A value beyond float32's
+    range becomes inf without a warning; _write_binary then refuses it."""
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(values, dtype="<f4")
 
 
 class _BinaryReader:
@@ -182,13 +193,54 @@ class _BinaryReader:
             raise self.error(f"{len(self.buf) - self.pos} trailing bytes at byte {self.pos}")
 
 
+# -- text files: the dataset manifest and gates, trials, scores ---------------
+
+
+def _read_rows(path, layout: str, what: str = "", key: int = 0, valid=None) -> list:
+    """The rows of a UTF-8 text file, each a list of its tab-separated fields.
+    Lines end at "\n"; a "\r" before it is dropped. A row without the columns
+    of ``layout`` or that ``valid`` rejects (returns false or raises
+    ValueError), a row whose first ``key`` fields repeat an earlier row's,
+    and a file with no rows are FormatErrors naming the file and, for a row,
+    its line."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 at byte {e.start} (0x{blob[e.start]:02x})") from None
+    if not text:
+        raise FormatError(f"{path}: no rows, expected '{layout}'")
+    width = layout.count("<TAB>") + 1
+    rows, first = [], {}
+    try:
+        for lineno, line in enumerate(text.replace("\r\n", "\n").removesuffix("\n").split("\n"), 1):
+            row = line.split("\t")
+            if len(row) != width or valid is not None and not valid(row):
+                raise ValueError
+            if key and first.setdefault(k := tuple(row[:key]), lineno) != lineno:
+                raise FormatError(f"{path}:{lineno}: duplicate {what} ({', '.join(k)}), first on line {first[k]}")
+            rows.append(row)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: expected '{layout}'") from None
+    return rows
+
+
+def _write_rows(path, rows) -> None:
+    """Write a list of rows of string fields, one tab-joined line each. A field
+    holding a tab or a line break is refused before the file is opened, so
+    every file written reads back through _read_rows as the same rows."""
+    text = "".join(["\t".join(row) + "\n" for row in rows])
+    if text.count("\t") + text.count("\n") != sum(map(len, rows)) or "\r" in text:  # a row of n fields has n breaks
+        field = next(f for row in rows for f in row if "\t" in f or "\n" in f or "\r" in f)
+        raise DataError(f"{path}: refusing to write a field holding a tab or line break: {field!r}")
+    Path(path).write_bytes(text.encode())
+
+
 def write_features(path, features: np.ndarray) -> None:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2:
         raise DataError(f"features must be 2-D, got shape {feats.shape}")
-    if not np.all(np.isfinite(feats)):
-        raise DataError("refusing to write non-finite features")
-    _write_binary(path, FEATURE_MAGIC, struct.pack("<II", *feats.shape), np.ascontiguousarray(feats, dtype="<f4"))
+    _write_binary(path, FEATURE_MAGIC, struct.pack("<II", *feats.shape), _float32(feats))
 
 
 def read_features(path) -> np.ndarray:
@@ -208,7 +260,7 @@ def write_embeddings(path, embeddings: dict) -> None:
         raise DataError(f"{path}: an utterance id is longer than the 65535 bytes the format allows")
     parts = [struct.pack("<I", len(embeddings))]
     for raw, vec in zip(ids, embeddings.values()):
-        v = np.ascontiguousarray(np.asarray(vec, dtype=np.float64), dtype="<f4")
+        v = _float32(np.asarray(vec, dtype=np.float64))
         parts += [struct.pack("<H", len(raw)), raw, struct.pack("<I", v.size), v]
     _write_binary(path, EMBEDDING_MAGIC, *parts)
 
@@ -242,28 +294,16 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
     out = Path(out_dir)
     feat_dir = out / "feats"
     feat_dir.mkdir(parents=True, exist_ok=True)
-    manifest_lines = []
-    gate_lines = []
+    manifest = []
     for utt in dataset.utterances:
         rel = f"feats/{utt.utt_id}.xvf"
         write_features(out / rel, utt.features)
-        manifest_lines.append(f"{utt.utt_id}\t{utt.speaker}\t{rel}\n")
-        if utt.gate is not None:
-            gate_lines.append(f"{utt.utt_id}\t{''.join(str(int(g)) for g in utt.gate)}\n")
-    (out / "manifest.tsv").write_text("".join(manifest_lines))
-    if gate_lines:
-        (out / "gates.tsv").write_text("".join(gate_lines))
+        manifest.append((utt.utt_id, utt.speaker, rel))
+    _write_rows(out / "manifest.tsv", manifest)
+    gates = [(u.utt_id, "".join(str(int(g)) for g in u.gate)) for u in dataset.utterances if u.gate is not None]
+    if gates:
+        _write_rows(out / "gates.tsv", gates)
     return out / "manifest.tsv"
-
-
-def read_lines(path) -> list:
-    """The lines of a UTF-8 text file. Bytes that are not UTF-8 raise
-    FormatError naming the file and the first bad byte."""
-    blob = Path(path).read_bytes()
-    try:
-        return blob.decode("utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: not UTF-8 at byte {e.start} (0x{blob[e.start]:02x})") from None
 
 
 def load_dataset(manifest_path, split: str = "train") -> Dataset:
@@ -277,20 +317,12 @@ def load_dataset(manifest_path, split: str = "train") -> Dataset:
     gates = {}
     gate_path = root / "gates.tsv"
     if gate_path.is_file():
-        for lineno, line in enumerate(read_lines(gate_path), 1):
-            parts = line.split("\t")
-            if len(parts) != 2 or set(parts[1]) - {"0", "1"}:
-                raise FormatError(f"{gate_path}:{lineno}: expected 'utt_id<TAB>0/1 string'")
-            gates[parts[0]] = np.frombuffer(parts[1].encode(), dtype=np.uint8) - ord("0")
+        rows = _read_rows(gate_path, "utt_id<TAB>0/1 string", "utterance id", key=1,
+                          valid=lambda row: set(row[1]) <= {"0", "1"})
+        gates = {utt_id: np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0") for utt_id, bits in rows}
     utterances = []
-    seen = {}  # utt_id -> manifest line
-    for lineno, line in enumerate(read_lines(path), 1):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno}: expected 'utt_id<TAB>speaker<TAB>path'")
-        utt_id, speaker, rel = parts
-        if seen.setdefault(utt_id, lineno) != lineno:
-            raise FormatError(f"{path}:{lineno}: duplicate utterance id '{utt_id}' (first on line {seen[utt_id]})")
+    rows = _read_rows(path, "utt_id<TAB>speaker<TAB>path", "utterance id", key=1)
+    for lineno, (utt_id, speaker, rel) in enumerate(rows, 1):
         feats = read_features(root / rel)
         if utterances and feats.shape[1] != utterances[0].features.shape[1]:
             raise DataError(f"{path}:{lineno}: {rel} has {feats.shape[1]} feature columns, "
@@ -299,8 +331,6 @@ def load_dataset(manifest_path, split: str = "train") -> Dataset:
         if gate is not None and gate.shape[0] != feats.shape[0]:
             raise DataError(f"{utt_id}: gate length {gate.shape[0]} != {feats.shape[0]} frames")
         utterances.append(Utterance(utt_id, speaker, feats, gate.astype(np.int8) if gate is not None else None))
-    if not utterances:
-        raise DataError(f"{path}: manifest lists no utterances")
     speakers = sorted({u.speaker for u in utterances})
     return Dataset(utterances, speakers, split)
 

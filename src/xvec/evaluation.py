@@ -8,12 +8,13 @@ accepted when its score is >= the threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, read_lines
-from .errors import ConfigError, DataError, FormatError
+from .data import Dataset, _read_rows, _write_rows
+from .errors import ConfigError, DataError
 from .model import InferencePlan, Model
 
 NORM_FLOOR = 1e-12
@@ -238,73 +239,35 @@ def make_trials(dataset: Dataset, enroll_per_speaker: int, seed) -> tuple:
 
 
 def write_trials(path, trials: list) -> None:
-    with open(path, "w") as f:
-        for t in trials:
-            label = "target" if t.target else "nontarget"
-            f.write(f"{t.enroll}\t{t.test}\t{label}\n")
+    _write_rows(path, [(t.enroll, t.test, "target" if t.target else "nontarget") for t in trials])
 
 
 def read_trials(path) -> list:
-    trials = []
-    seen = set()
-    for lineno, line in enumerate(read_lines(path), 1):
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("target", "nontarget"):
-            raise FormatError(f"{path}:{lineno}: expected 'enroll<TAB>test<TAB>target|nontarget'")
-        if (parts[0], parts[1]) in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate trial ({parts[0]}, {parts[1]})")
-        seen.add((parts[0], parts[1]))
-        trials.append(Trial(parts[0], parts[1], parts[2] == "target"))
-    if not trials:
-        raise DataError(f"{path}: no trials")
-    return trials
+    rows = _read_rows(path, "enroll<TAB>test<TAB>target|nontarget", "trial", key=2,
+                      valid=lambda row: row[2] in ("target", "nontarget"))
+    return [Trial(enroll, test, label == "target") for enroll, test, label in rows]
 
 
 def write_enroll_map(path, enroll_map: dict) -> None:
-    with open(path, "w") as f:
-        for spk in sorted(enroll_map):
-            for utt_id in enroll_map[spk]:
-                f.write(f"{spk}\t{utt_id}\n")
+    _write_rows(path, [(spk, utt_id) for spk in sorted(enroll_map) for utt_id in enroll_map[spk]])
 
 
 def read_enroll_map(path) -> dict:
     mapping = {}
-    for lineno, line in enumerate(read_lines(path), 1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'speaker<TAB>segment'")
-        if parts[1] in mapping.setdefault(parts[0], []):
-            raise FormatError(f"{path}:{lineno}: segment '{parts[1]}' listed twice for speaker '{parts[0]}'")
-        mapping[parts[0]].append(parts[1])
-    if not mapping:
-        raise DataError(f"{path}: no enrollment entries")
+    for spk, utt_id in _read_rows(path, "speaker<TAB>segment", "enrollment entry", key=2):
+        mapping.setdefault(spk, []).append(utt_id)
     return mapping
 
 
 def write_scores(path, scored: list) -> None:
     """scored: (Trial, score) pairs; scores go to disk in full precision."""
-    with open(path, "w") as f:
-        for trial, score in scored:
-            f.write(f"{trial.enroll}\t{trial.test}\t{score!r}\n")
+    _write_rows(path, [(trial.enroll, trial.test, repr(float(score))) for trial, score in scored])
 
 
 def read_scores(path) -> dict:
     """Returns {(enroll, test): score}."""
-    out = {}
-    for lineno, line in enumerate(read_lines(path), 1):
-        parts = line.split("\t")
-        try:
-            score = float(parts[2]) if len(parts) == 3 else None
-        except ValueError:
-            score = None
-        if score is None or not np.isfinite(score):
-            raise FormatError(f"{path}:{lineno}: expected 'enroll<TAB>test<TAB>score'")
-        if (parts[0], parts[1]) in out:
-            raise FormatError(f"{path}:{lineno}: duplicate score for ({parts[0]}, {parts[1]})")
-        out[(parts[0], parts[1])] = score
-    if not out:
-        raise DataError(f"{path}: no scores")
-    return out
+    rows = _read_rows(path, "enroll<TAB>test<TAB>score", "score", key=2, valid=lambda row: math.isfinite(float(row[2])))
+    return {(enroll, test): float(score) for enroll, test, score in rows}
 
 
 def join_scores_with_trials(scores: dict, trials: list) -> tuple:
@@ -329,7 +292,4 @@ def metrics_json(report: MetricsReport, extra: dict | None = None) -> str:
 
 
 def write_trajectory(path, max_weights: np.ndarray) -> None:
-    with open(path, "w") as f:
-        f.write("frame\tweight\n")
-        for i, w in enumerate(max_weights):
-            f.write(f"{i}\t{float(w)!r}\n")
+    _write_rows(path, [("frame", "weight")] + [(str(i), repr(float(w))) for i, w in enumerate(max_weights)])

@@ -411,7 +411,7 @@ def load_model(path) -> Model:
     at = r.pos
     try:
         config = from_json(ModelConfig, json.loads(r.take_text(config_len, "config")), f"{path}: config")
-    except ValueError as e:  # bad JSON
+    except (ValueError, RecursionError) as e:  # bad JSON, or nested too deep
         raise r.error(f"invalid config JSON at byte {at}: {e}") from e
     except ConfigError as e:
         raise FormatError(f"{e} (config at byte {at})") from e

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import xvec
-from xvec import data
+from xvec import cli, data
 from xvec.cli import main, parse_compat
 from xvec.errors import ConfigError
 from xvec.model import FrameLayerSpec, ModelConfig, build_model, load_model, save_model
@@ -96,6 +97,29 @@ class TestUsageAndConfigErrors:
         path.write_text("{nope")
         assert main(["gen-data", "--config", str(path), "--out-dir", str(tmp_path / "d")]) == 1
         assert "JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["gen-data", "--config", str(path), "--out-dir", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: invalid JSON: "), err
+
+    def test_deeply_nested_model_config_is_one_error_line(self, tmp_path, capsys):
+        config = b"[" * 100_000
+        bad = tmp_path / "deep.xvm"
+        bad.write_bytes(b"XVM1" + struct.pack("<Q", len(config)) + config)
+        rc = main(["attn", "--model", str(bad), "--utt", str(tmp_path / "u.xvf"), "--out", str(tmp_path / "t.tsv")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid config JSON at byte 12: "), err
+
+    def test_unexpected_fault_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def fault(path):
+            raise RuntimeError("no handler of its own")
+        monkeypatch.setattr(cli, "load_run_config", fault)
+        assert main(["gen-data", "--config", "run.json", "--out-dir", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == ["error: RuntimeError: no handler of its own"]
 
     def test_trials_without_eval_split(self, tmp_path, capsys):
         cfg = write_config(

@@ -75,10 +75,11 @@ def workdir(tmp_path_factory):
     return root
 
 
-def run_train(workdir, cfg: dict):
-    """Run `xvec train` on cfg; returns (exit code, stderr lines, config path)."""
+def run_train(workdir, cfg):
+    """Run `xvec train` on cfg, a dict or its JSON text; returns (exit code,
+    stderr lines, config path)."""
     path = workdir / "run.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(["train", "--config", str(path), "--data", str(workdir / "ds"),
@@ -100,6 +101,9 @@ class TestFromJson:
             from_json(float, False, "x")
         with pytest.raises(ConfigError, match="x: number out of range"):
             from_json(float, 10**400, "x")
+        for text in ("NaN", "Infinity", "-Infinity", "1e999"):
+            with pytest.raises(ConfigError, match="^x: expected a finite number$"):
+                from_json(float, json.loads(text), "x")
 
     def test_nested_paths(self):
         d = {"input_dim": 3, "frame_layers": [{"offsets": [0], "width": 4}, {"offsets": [0, "1"], "width": 4}]}
@@ -149,11 +153,22 @@ class TestRunConfigErrors:
         (("trials", "enroll_per_speaker"), "x", "trials.enroll_per_speaker: expected an integer"),
         (("train", "lr"), "fast", "train.lr: expected a number, got a string"),
         (("train", "epochs"), 1.5, "train.epochs: expected an integer, got a number"),
+        (("train", "lr"), float("nan"), "train.lr: expected a finite number"),
+        (("train", "clip_norm"), float("nan"), "train.clip_norm: expected a finite number"),
+        (("train", "weight_decay"), float("inf"), "train.weight_decay: expected a finite number"),
+        (("synth", "train", "sigma"), float("-inf"), "synth.train.sigma: expected a finite number"),
     ])
     def test_wrong_type_is_one_error_line(self, workdir, path, value, message):
         rc, lines, cfg = run_train(workdir, replaced(path, value))
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: {message}")
+
+    def test_overflowing_literal_is_one_error_line(self, workdir):
+        # json.dumps cannot write 1e999, which Python's json reads as inf
+        text = json.dumps(replaced(("train", "clip_norm"), 0.125)).replace("0.125", "1e999")
+        rc, lines, cfg = run_train(workdir, text)
+        assert rc == 1
+        assert lines == [f"error: {cfg}: train.clip_norm: expected a finite number"]
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(field=st.sampled_from(FIELDS), pick=st.data())

@@ -272,7 +272,7 @@ class TestDatasetFiles:
         utt, _, rel = lines[0].split("\t")
         lines.append(f"{utt}\ts0003\t{rel}")
         (root / "manifest.tsv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"manifest.tsv:{len(lines)}: duplicate utterance id '{utt}'"):
+        with pytest.raises(FormatError, match=rf"manifest.tsv:{len(lines)}: duplicate utterance id \({utt}\), first on line 1$"):
             load_dataset(root)
 
     def test_mixed_feature_dims(self, tmp_path):

@@ -366,7 +366,7 @@ class TestFileFormats:
     def test_enroll_map_duplicate_entry(self, tmp_path):
         path = tmp_path / "enroll.tsv"
         path.write_text("s1\tu1\ns1\tu2\ns1\tu1\n")
-        with pytest.raises(FormatError, match=":3: segment 'u1' listed twice"):
+        with pytest.raises(FormatError, match=r":3: duplicate enrollment entry \(s1, u1\), first on line 1$"):
             read_enroll_map(path)
 
     def test_scores_duplicate_pair(self, tmp_path):
@@ -377,12 +377,14 @@ class TestFileFormats:
 
     def test_scores_round_trip_exact(self, tmp_path):
         scored = [(Trial("s1", "u1", True), 0.1 + 0.2),
-                  (Trial("s2", "u2", False), -1.0 / 3.0)]
+                  (Trial("s2", "u2", False), -1.0 / 3.0),
+                  (Trial("s3", "u3", False), np.float64(0.1) * 3)]  # a NumPy scalar's repr is not a float's
         path = tmp_path / "scores.tsv"
         write_scores(path, scored)
         got = read_scores(path)
         assert got[("s1", "u1")] == 0.1 + 0.2  # repr round trip, no rounding
         assert got[("s2", "u2")] == -1.0 / 3.0
+        assert got[("s3", "u3")] == 0.1 * 3
 
     def test_scores_malformed(self, tmp_path):
         path = tmp_path / "scores.tsv"

@@ -1,6 +1,7 @@
 """Properties of the three binary formats: .xvf features, .xve embeddings
 and .xvm checkpoints. Each round-trips; a cut, extended or non-finite
-file fails as a FormatError that names the byte where the format breaks."""
+file fails as a FormatError that names the byte where the format breaks,
+and no writer writes a value its reader rejects."""
 
 import re
 import struct
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xvec.data import read_embeddings, read_features, write_embeddings, write_features
-from xvec.errors import FormatError
+from xvec.errors import DataError, FormatError
 from xvec.model import FrameLayerSpec, ModelConfig, build_model, load_model, save_model
 
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -25,13 +26,16 @@ def embeddings(draw):
     return {utt_id: draw(hnp.arrays(np.float64, dim, elements=FLOAT32)) for utt_id in ids}
 
 
+def tiny_config(pooling: str) -> ModelConfig:
+    return ModelConfig(input_dim=1, frame_layers=(FrameLayerSpec((-1, 0), 2),), pooling=pooling,
+                       key_layer=1, compat=[2], heads=2 if pooling == "multihead" else 1,
+                       utterance_layers=[2], num_speakers=2)
+
+
 @st.composite
 def models(draw):
     pooling = draw(st.sampled_from(["stats", "attention", "multihead"]))
-    config = ModelConfig(input_dim=1, frame_layers=(FrameLayerSpec((-1, 0), 2),), pooling=pooling,
-                         key_layer=1, compat=[2], heads=2 if pooling == "multihead" else 1,
-                         utterance_layers=[2], num_speakers=2)
-    model = build_model(config, seed=draw(st.integers(0, 2**16)))
+    model = build_model(tiny_config(pooling), seed=draw(st.integers(0, 2**16)))
     for _, array in model.state_arrays():  # running statistics off their initial values too
         array += draw(FLOAT32)
     return model
@@ -146,3 +150,24 @@ def test_non_finite_value_is_rejected_at_its_byte(fmt, tmp_path, data, bad):
     patched[pos : pos + np.dtype(dtype).itemsize] = np.array(bad, dtype=dtype).tobytes()
     path.write_bytes(bytes(patched))
     assert re.fullmatch(rf"{re.escape(str(path))}: non-finite value in .+ at byte {pos}", read_error(fmt, path))
+
+
+def holding(fmt, x):
+    """A value of the format with x as its first payload value."""
+    if fmt == "xvf":
+        return np.array([[x, 0.0]])
+    if fmt == "xve":
+        return {"a": np.array([x, 1.0])}
+    model = build_model(tiny_config("attention"), seed=0)
+    model.state_arrays()[0][1].flat[0] = x
+    return model
+
+
+# 1e39 is finite in float64 but beyond float32's range; .xvm stores float64
+@pytest.mark.parametrize("fmt, bad", [(fmt, bad) for fmt in FORMATS for bad in (np.nan, np.inf, -np.inf, 1e39)
+                                      if (fmt, bad) != ("xvm", 1e39)])
+def test_writer_refuses_a_value_its_reader_rejects(fmt, bad, tmp_path):
+    path = tmp_path / f"bad.{fmt}"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write a non-finite value$"):
+        FORMATS[fmt][1](path, holding(fmt, bad))
+    assert not path.exists()
