@@ -97,13 +97,24 @@ def stationary_on_fraction(p_stay_on: float, p_stay_off: float) -> float:
 
 
 def _sample_gate(rng: np.random.Generator, t: int, p_stay_on: float, p_stay_off: float) -> np.ndarray:
-    gate = np.empty(t, dtype=np.int8)
+    """The gate chain from t uniform draws: frame 0 is on when u[0] is below
+    the stationary on fraction; frame i keeps the state of frame i - 1 when
+    u[i] is below that state's stay probability, else flips it.
+
+    Whatever the state, step i therefore keeps it (u[i] passes both stay
+    tests), flips it (passes neither) or sets it to "u[i] passes the on
+    test" (passes one). A frame's state is the value last set, flipped once
+    per flip since."""
     u = rng.random(t)
-    gate[0] = 1 if u[0] < stationary_on_fraction(p_stay_on, p_stay_off) else 0
-    for i in range(1, t):
-        stay = p_stay_on if gate[i - 1] else p_stay_off
-        gate[i] = gate[i - 1] if u[i] < stay else 1 - gate[i - 1]
-    return gate
+    stay_on = u < p_stay_on
+    stay_off = u < p_stay_off
+    sets = stay_on != stay_off
+    sets[0] = True
+    value = stay_on.astype(np.int8)
+    value[0] = u[0] < stationary_on_fraction(p_stay_on, p_stay_off)
+    flips = np.cumsum(~(stay_on | stay_off))  # a flip at frame 0 is never after a set
+    last_set = np.maximum.accumulate(np.where(sets, np.arange(t), 0))
+    return value[last_set] ^ ((flips - flips[last_set]) & 1).astype(np.int8)
 
 
 def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Dataset:
@@ -226,14 +237,28 @@ def _read_rows(path, layout: str, what: str = "", key: int = 0, valid=None) -> l
 
 
 def _write_rows(path, rows) -> None:
-    """Write a list of rows of string fields, one tab-joined line each. A field
-    holding a tab or a line break is refused before the file is opened, so
-    every file written reads back through _read_rows as the same rows."""
+    """Write a list of rows of string fields, one tab-joined line each. No
+    rows, a field holding a tab or a line break and one that is not valid
+    Unicode are refused before the file is opened, so every file written
+    reads back through _read_rows as the same rows."""
+    if not rows:
+        raise DataError(f"{path}: refusing to write a file with no rows")
     text = "".join(["\t".join(row) + "\n" for row in rows])
     if text.count("\t") + text.count("\n") != sum(map(len, rows)) or "\r" in text:  # a row of n fields has n breaks
         field = next(f for row in rows for f in row if "\t" in f or "\n" in f or "\r" in f)
         raise DataError(f"{path}: refusing to write a field holding a tab or line break: {field!r}")
-    Path(path).write_bytes(text.encode())
+    Path(path).write_bytes(_encode(path, text, (f for row in rows for f in row)))
+
+
+def _encode(path, text: str, fields) -> bytes:
+    """text as UTF-8. A lone surrogate cannot be encoded: the error names the
+    first of ``fields``, the strings text is made of, that holds one."""
+    try:
+        return text.encode()
+    except UnicodeEncodeError as e:
+        bad = e.object[e.start]
+        field = next(f for f in fields if bad in f)
+        raise DataError(f"{path}: refusing to write a string that is not valid Unicode: {field!r}") from None
 
 
 def write_features(path, features: np.ndarray) -> None:
@@ -250,12 +275,12 @@ def read_features(path) -> np.ndarray:
         raise r.error(f"degenerate shape {t} x {d} in header at byte 4")
     feats = r.take_array("<f4", t * d, "features")
     r.finish()
-    return feats.astype(np.float64).reshape(t, d)
+    return feats.astype(np.float32).reshape(t, d)
 
 
 def write_embeddings(path, embeddings: dict) -> None:
     """Write utt_id -> vector pairs; float32 on disk like the features."""
-    ids = [utt_id.encode() for utt_id in embeddings]
+    ids = [_encode(path, utt_id, [utt_id]) for utt_id in embeddings]
     if max(map(len, ids), default=0) > 0xFFFF:
         raise DataError(f"{path}: an utterance id is longer than the 65535 bytes the format allows")
     parts = [struct.pack("<I", len(embeddings))]
@@ -292,6 +317,8 @@ def read_embeddings(path) -> dict:
 def write_dataset(dataset: Dataset, out_dir) -> Path:
     """Write features, the manifest and the gate sidecar under out_dir."""
     out = Path(out_dir)
+    if not dataset.utterances:
+        raise DataError(f"{out / 'manifest.tsv'}: refusing to write a file with no rows")
     feat_dir = out / "feats"
     feat_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -300,7 +327,9 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
         write_features(out / rel, utt.features)
         manifest.append((utt.utt_id, utt.speaker, rel))
     _write_rows(out / "manifest.tsv", manifest)
-    gates = [(u.utt_id, "".join(str(int(g)) for g in u.gate)) for u in dataset.utterances if u.gate is not None]
+    # "0" and "1" are bytes 48 and 49
+    gates = [(u.utt_id, (np.asarray(u.gate) + 48).astype(np.uint8).tobytes().decode())
+             for u in dataset.utterances if u.gate is not None]
     if gates:
         _write_rows(out / "gates.tsv", gates)
     return out / "manifest.tsv"

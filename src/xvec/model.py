@@ -22,6 +22,14 @@ another affine (the next frame block's, the compatibility net's) is folded
 into that affine's weights. The two batch norms that feed pooling,
 on the values and on the compatibility output, still run as batch norms:
 the variance floor and the softmax are not affine.
+
+Neither path allocates its frame-level arrays once warm. The model owns a
+workspace for forward_batch and backward_batch, keyed by layer, and a plan
+owns one sized to the longest utterance it has run; each layer writes its
+result into a buffer of it. A block's input gradient overwrites the block's
+input, which only its weight gradient still reads. What a call hands back
+(posteriors, embeddings, ForwardTrace fields) is a new array, never a view
+of a workspace.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ import numpy as np
 from .config import from_json
 from .data import _BinaryReader, _write_binary
 from .errors import ConfigError, DataError, FormatError
-from .nn import Affine, BatchNorm, LeakyReLU, Parameter, Softmax, Splice, as_matrix
+from .nn import (Affine, BatchNorm, LeakyReLU, Parameter, Softmax, Splice, _block_backward, _block_forward,
+                 _Workspace, as_matrix)
 from .pooling import CompatibilityNet, MultiHeadPool, StatsPool
 
 POOLING_KINDS = ("stats", "attention", "multihead")
@@ -126,8 +135,9 @@ class ModelConfig:
 
 @dataclass
 class ForwardTrace:
-    """What one forward pass produced. A train-mode forward reports only
-    the posteriors."""
+    """What one forward pass produced, in arrays of its own. A train-mode
+    forward reports only the posteriors, and an inference forward the frame
+    activations and values only when asked for them."""
 
     posteriors: np.ndarray  # 1 x K
     # per frame block, the leaky ReLU output before the block's batch norm
@@ -157,12 +167,14 @@ def _fold(bn: BatchNorm, affine: Affine) -> Affine:
 @dataclass
 class InferencePlan:
     """The inference layers of a Model with batch norm folded in, built by
-    Model.inference_plan from the parameters of that moment."""
+    Model.inference_plan from the parameters of that moment, and the
+    buffers its forwards reuse, sized to the longest utterance seen."""
 
     frame: list  # (Splice, Affine, LeakyReLU) per frame block
     values_bn: BatchNorm  # the last frame block's batch norm
     compat: list = field(default_factory=list)  # (Affine, LeakyReLU) per compat block
     compat_bn: BatchNorm | None = None  # the last compat block's batch norm
+    workspace: _Workspace = field(default_factory=_Workspace, repr=False)
 
 
 class _FrameBlock:
@@ -208,6 +220,8 @@ class Model:
             uin = width
         self.classifier = Affine.build(rng, uin, config.num_speakers, "classifier")
         self.softmax = Softmax()
+        # frame-level results and caches of forward_batch/backward_batch
+        self._workspace = _Workspace()
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -277,39 +291,48 @@ class Model:
         return InferencePlan(frame, blocks[-1].bn, compat, bn)
 
     def forward(self, features: np.ndarray, train: bool = False,
-                plan: InferencePlan | None = None) -> ForwardTrace:
+                plan: InferencePlan | None = None, activations: bool = False) -> ForwardTrace:
         """Forward one T x d utterance.
 
         Inference (train=False) runs ``plan``, by default one built for this
         call; a loop over utterances builds it once with inference_plan()
-        and passes it in, which changes no result. train=True runs
-        forward_batch on a batch of this one chunk: batch norm uses the
-        chunk's own frame statistics and updates the running ones.
+        and passes it in, which changes no result and reuses the plan's
+        buffers. ``activations`` adds copies of the frame activations and
+        the values to the trace. train=True runs forward_batch on a batch of
+        this one chunk: batch norm uses the chunk's own frame statistics and
+        updates the running ones.
         """
-        x = as_matrix(features)
+        if not train and plan is None:
+            plan = self.inference_plan()
+        ws = None if train else plan.workspace
+        x = as_matrix(features, None if train else lambda shape: ws("input", *shape))
         if x.shape[1] != self.config.input_dim:
             raise DataError(
                 f"features have {x.shape[1]} columns, model expects {self.config.input_dim}"
             )
         if train:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
-        if plan is None:
-            plan = self.inference_plan()
+        t = x.shape[0]
         frame_acts = []
         h = x
         for splice, affine, act in plan.frame:
-            h = act.forward(affine.forward(splice.forward(h)))
+            h = splice.forward(h, out=None if affine.din == h.shape[1] else ws((splice, "out"), t, affine.din))
+            h = act.forward(affine.forward(h, out=ws(("scratch", affine.dout), t, affine.dout)),
+                            out=ws((act, "out"), t, affine.dout))
             frame_acts.append(h)
-        values = plan.values_bn.forward(h)
+        values = plan.values_bn.forward(h, out=ws("values", t, h.shape[1]))
         attention = None
+        work = ws("work", t, values.shape[1])
         if isinstance(self.pool, StatsPool):
-            pooled, _ = self.pool.pool(values[None])
+            pooled, _ = self.pool.pool(values[None], work)
         else:
             # the key block's batch norm is folded into plan.compat[0]
             c = frame_acts[self.config.effective_key_layer - 1]
             for affine, act in plan.compat:
-                c = act.forward(affine.forward(c))
-            pooled, (attention,), _ = self.pool.pool_from_compat(values[None], plan.compat_bn.forward(c)[None])
+                c = act.forward(affine.forward(c, out=ws(("scratch", affine.dout), t, affine.dout)),
+                                out=ws((act, "out"), t, affine.dout))
+            c = plan.compat_bn.forward(c, out=c)
+            pooled, (attention,), _ = self.pool.pool_from_compat(values[None], c[None], work)
         z = pooled
         preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
@@ -317,7 +340,9 @@ class Model:
             preacts.append(z[0].copy())
             z = act.forward(z)
         posteriors = self.softmax.forward(self.classifier.forward(z))
-        return ForwardTrace(posteriors, frame_acts, values, pooled[0], preacts, attention)
+        if not activations:
+            return ForwardTrace(posteriors, pooled=pooled[0], utterance_preactivations=preacts, attention=attention)
+        return ForwardTrace(posteriors, [a.copy() for a in frame_acts], values.copy(), pooled[0], preacts, attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.
@@ -325,7 +350,9 @@ class Model:
         Batch norm statistics run over all B*T frames together; splicing and
         pooling stay per chunk, and one pooling call covers the batch.
         Returns (posteriors (B, K), cache); hand the cache back to
-        backward_batch.
+        backward_batch. Frame-level results and caches live in the model's
+        workspace, so a call overwrites the previous call's; the posteriors
+        are a new array.
         """
         x = np.asarray(chunks, dtype=np.float64)
         if x.ndim != 3:
@@ -335,51 +362,62 @@ class Model:
                 f"batch features have {x.shape[2]} columns, model expects {self.config.input_dim}"
             )
         b, t, _ = x.shape
+        ws = self._workspace
         key_idx = self.config.effective_key_layer - 1
-        attention = not isinstance(self.pool, StatsPool)
         h = x
-        keys_flat = None
+        frames = []  # per block: its (B, T, d) input and its affine's (B*T, K*d) input
+        keys_flat = compat = None
         for i, block in enumerate(self.frame_blocks):
-            spliced = block.splice.forward_batch(h, train)
-            flat = spliced.reshape(b * t, spliced.shape[2])
-            flat = block.bn.forward(block.act.forward(block.affine.forward(flat, train), train), train)
+            cols = block.affine.din
+            out = None if cols == h.shape[2] else ws((block.splice, "out"), b * t, cols).reshape(b, t, cols)
+            spliced = block.splice.forward_batch(h, train, out).reshape(b * t, cols)
+            frames.append((h, spliced))
+            flat = _block_forward(block.affine, block.act, block.bn, spliced, train, ws)
             h = flat.reshape(b, t, flat.shape[1])
-            if attention and i == key_idx:
+            if i == key_idx:
                 keys_flat = flat
-        if attention:
-            compat = self.pool.net.forward(keys_flat, train)
-            z, _, pool_cache = self.pool.pool_from_compat(h, compat.reshape(b, t, compat.shape[1]))
+        work = ws("work", b * t, h.shape[2])
+        if isinstance(self.pool, StatsPool):
+            z, pool_cache = self.pool.pool(h, work)
         else:
-            z, pool_cache = self.pool.pool(h)
+            compat = self.pool.net.forward(keys_flat, train, ws)
+            z, _, pool_cache = self.pool.pool_from_compat(h, compat.reshape(b, t, compat.shape[1]), work)
         for affine, act in zip(self.utt_affines, self.utt_acts):
             z = act.forward(affine.forward(z, train), train)
         posteriors = self.softmax.forward(self.classifier.forward(z, train), train)
-        return posteriors, pool_cache
+        return posteriors, (pool_cache, frames, compat)
 
-    def backward_batch(self, d_posteriors: np.ndarray, cache) -> np.ndarray:
-        """Backpropagate one batched forward; accumulates parameter gradients
-        and returns the gradient w.r.t. the (B, T, d) input."""
+    def backward_batch(self, d_posteriors: np.ndarray, cache) -> None:
+        """Backpropagate one batched forward and accumulate the parameter
+        gradients; the input gradient is not computed. Each frame block's
+        input gradient overwrites that block's input in the workspace: only
+        the block's own weight gradient reads it after the pooling and
+        compatibility net backward passes."""
+        pool_cache, frames, compat = cache
         g = self.softmax.backward(d_posteriors)
         g = self.classifier.backward(g)
         for affine, act in zip(reversed(self.utt_affines), reversed(self.utt_acts)):
             g = affine.backward(act.backward(g))
+        ws = self._workspace
         d_keys_flat = None
         if isinstance(self.pool, StatsPool):
-            d_values = self.pool.pool_backward(cache, g)
+            d_values = self.pool.pool_backward(pool_cache, g)
         else:
-            d_values, d_compat = self.pool.backward_from_compat(cache, g)
-            d_keys_flat = self.pool.net.backward(d_compat.reshape(-1, d_compat.shape[2]))
+            # d_compat overwrites the compatibility outputs, which nothing reads after
+            d_values, d_compat = self.pool.backward_from_compat(pool_cache, g, out=compat)
+            d_keys_flat = self.pool.net.backward(d_compat.reshape(compat.shape), ws)
         b, t, d_v = d_values.shape
         key_idx = self.config.effective_key_layer - 1
         g_flat = d_values.reshape(b * t, d_v)
         for layer in reversed(range(len(self.frame_blocks))):
             if d_keys_flat is not None and layer == key_idx:
-                g_flat = g_flat + d_keys_flat
+                g_flat += d_keys_flat
             block = self.frame_blocks[layer]
-            g_flat = block.affine.backward(block.act.backward(block.bn.backward(g_flat)))
-            g3 = block.splice.backward_batch(g_flat.reshape(b, t, g_flat.shape[1]))
-            g_flat = g3.reshape(b * t, g3.shape[2])
-        return g_flat.reshape(b, t, g_flat.shape[1])
+            h, spliced = frames[layer]
+            # frame0's input gradient would be thrown away
+            g_flat = _block_backward(block.affine, block.act, block.bn, g_flat, ws, spliced, input_grad=layer > 0)
+            if layer:
+                g_flat = block.splice.backward_batch(g_flat.reshape(b, t, spliced.shape[1]), out=h).reshape(b * t, -1)
 
     def extract_embedding(self, features: np.ndarray, plan: InferencePlan | None = None) -> np.ndarray:
         """Inference-mode speaker embedding: the pre-activation output of the

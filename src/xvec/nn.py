@@ -3,6 +3,12 @@
 Everything operates on float64 matrices whose rows index time and whose
 columns index features. Layers cache the activations they need for the
 backward pass only when ``train=True``; inference-mode forwards are pure.
+
+Every forward and backward takes an optional ``out=`` array for its
+result, and the train-mode caches of leaky ReLU and batch norm take one
+too, so a caller that holds its buffers (a _Workspace) runs without
+allocating. Without them each call returns fresh arrays; either way the
+result has the same bits and no input is modified.
 """
 
 from __future__ import annotations
@@ -17,16 +23,40 @@ BN_MOMENTUM = 0.99
 PROB_FLOOR = 1e-12
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array, validating finiteness."""
-    a = np.asarray(x, dtype=np.float64)
+def as_matrix(x, alloc=None) -> np.ndarray:
+    """Coerce to a 2-D float64 array, validating finiteness. A float64 array
+    comes back as is; any other input is widened into ``alloc((t, d))`` when
+    given, else into a new array."""
+    a = np.asarray(x)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ConfigError(f"expected a T x d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.dtype != np.float64:
+        if alloc is None:
+            a = a.astype(np.float64)
+        else:
+            wide = alloc(a.shape)
+            wide[...] = a
+            a = wide
+    if not np.isfinite(a).all():
         raise DataError("matrix contains non-finite entries")
     return a
+
+
+class _Workspace:
+    """Scratch arrays reused from call to call, one per key. A request for
+    more rows or other columns than the key's array has replaces that array;
+    fewer rows are a prefix of it. Callers copy what they hand out."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, key, rows: int, cols: int, dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(key)
+        if a is None or a.shape[0] < rows or a.shape[1] != cols:
+            a = self._arrays[key] = np.empty((rows, cols), dtype)
+        return a[:rows]
 
 
 class Parameter:
@@ -83,24 +113,27 @@ class Affine:
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, out=None) -> np.ndarray:
         if x.shape[1] != self.din:
             raise ConfigError(
                 f"affine {self.weight.name}: input has {x.shape[1]} columns, expected {self.din}"
             )
         if train:
             self._x = x
-        y = x @ self.weight.value.T
+        y = np.matmul(x, self.weight.value.T, out=out)
         y += self.bias.value
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, out=None, input_grad: bool = True):
+        """Accumulate the parameter gradients and return the input gradient,
+        or None when ``input_grad`` is false. ``out`` may be the cached
+        input: the weight gradient has read it before out is written."""
         if self._x is None:
             raise RuntimeError("affine backward called before a train-mode forward")
         x, self._x = self._x, None
         self.weight.grad += grad_out.T @ x
         self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value
+        return np.matmul(grad_out, self.weight.value, out=out) if input_grad else None
 
 
 class LeakyReLU:
@@ -110,21 +143,23 @@ class LeakyReLU:
         self.slope = slope
         self._keep = None
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, out=None, keep=None) -> np.ndarray:
+        """``out`` must not be x; ``keep`` takes the train-mode x >= 0 mask."""
         # max(x, slope*x) picks x where x >= 0 and slope*x elsewhere, signed
         # zeros included, because 0 <= slope < 1.
         if train:
-            self._keep = x >= 0.0
-        y = self.slope * x
+            self._keep = np.greater_equal(x, 0.0, out=keep)
+        y = np.multiply(self.slope, x, out=out)
         return np.maximum(x, y, out=y)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
+        """``out`` must not be grad_out."""
         if self._keep is None:
             raise RuntimeError("leaky ReLU backward called before a train-mode forward")
         keep, self._keep = self._keep, None
-        # 1.0 where the input was kept, slope elsewhere
-        dx = keep.astype(np.float64)
-        np.maximum(dx, self.slope, out=dx)
+        dx = np.empty(keep.shape) if out is None else out
+        np.copyto(dx, keep)  # 1.0 where the input was kept, 0.0 elsewhere
+        np.maximum(dx, self.slope, out=dx)  # slope elsewhere
         dx *= grad_out
         return dx
 
@@ -168,7 +203,9 @@ class BatchNorm:
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, out=None, x_hat=None) -> np.ndarray:
+        """``out`` may be x; ``x_hat`` takes the train-mode normalized batch,
+        which the backward pass reads and then overwrites with its result."""
         if x.shape[1] != self.dim:
             raise ConfigError(
                 f"batch norm {self.gamma.name}: input has {x.shape[1]} columns, expected {self.dim}"
@@ -179,19 +216,19 @@ class BatchNorm:
                     f"batch norm {self.gamma.name} needs at least 2 rows in train mode, got {x.shape[0]}"
                 )
             # The same arithmetic as x.mean(axis=0) and x.var(axis=0) (biased),
-            # with the centred batch computed once.
+            # with the centred batch computed once: the einsum sums the squares
+            # row by row, as the mean of a squares array would, without one.
             mean = x.mean(axis=0)
-            x_hat = x - mean
-            sq = np.multiply(x_hat, x_hat)
-            var = sq.mean(axis=0)
+            x_hat = np.subtract(x, mean, out=x_hat)
+            var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
             inv_std = 1.0 / np.sqrt(var + self.epsilon)
             x_hat *= inv_std
             self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
             self._cache = (x_hat, inv_std)
-            y = np.multiply(self.gamma.value, x_hat, out=sq)
+            y = np.multiply(self.gamma.value, x_hat, out=out)
         else:
-            y = x - self.running_mean
+            y = np.subtract(x, self.running_mean, out=out)
             y *= self.gamma.value
             y *= 1.0 / np.sqrt(self.running_var + self.epsilon)
         y += self.beta.value
@@ -244,37 +281,44 @@ class Splice:
             hi = max(min(t - o, t), lo)
             yield o, slice(k * d, (k + 1) * d), lo, hi
 
-    def _splice(self, x: np.ndarray) -> np.ndarray:
+    def _splice(self, x: np.ndarray, out=None) -> np.ndarray:
         if self.offsets == (0,):
             return x
         b, t, d = x.shape
-        out = np.empty((b, t, len(self.offsets) * d))
+        if out is None:
+            out = np.empty((b, t, len(self.offsets) * d))
         for o, cols, lo, hi in self._blocks(t, d):
             out[:, lo:hi, cols] = x[:, lo + o:hi + o]
             out[:, :lo, cols] = x[:, :1]
             out[:, hi:, cols] = x[:, t - 1:]
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Splice one T x d utterance; caches nothing (the backward pass is
-        batched only)."""
+    def forward(self, x: np.ndarray, out=None) -> np.ndarray:
+        """Splice one T x d utterance into a (T, K*d) result; caches nothing
+        (the backward pass is batched only)."""
         t, d = x.shape
-        return self._splice(x[None]).reshape(t, len(self.offsets) * d)
+        return self._splice(x[None], None if out is None else out[None]).reshape(t, len(self.offsets) * d)
 
-    def forward_batch(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Splice a (B, T, d) stack of equal-length chunks, each clamped at
-        its own edges so no frame leaks across chunk boundaries."""
+    def forward_batch(self, x: np.ndarray, train: bool = False, out=None) -> np.ndarray:
+        """Splice a (B, T, d) stack of equal-length chunks into a (B, T, K*d)
+        result, each clamped at its own edges so no frame leaks across chunk
+        boundaries."""
         if train:
             self._batch_cache = x.shape
-        return self._splice(x)
+        return self._splice(x, out)
 
-    def backward_batch(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward_batch(self, grad_out: np.ndarray, out=None) -> np.ndarray:
+        """(B, T, K*d) output gradient -> (B, T, d) input gradient."""
         if self._batch_cache is None:
             raise RuntimeError("splice backward called before a train-mode forward")
         (b, t, d), self._batch_cache = self._batch_cache, None
         if self.offsets == (0,):
             return grad_out
-        dx = np.zeros((b, t, d))
+        if out is None:
+            dx = np.zeros((b, t, d))
+        else:
+            dx = out
+            dx.fill(0.0)
         for o, cols, lo, hi in self._blocks(t, d):
             g = grad_out[:, :, cols]
             dx[:, lo + o:hi + o] += g[:, lo:hi]
@@ -283,6 +327,30 @@ class Splice:
             if hi < t:
                 dx[:, t - 1] += g[:, hi:].sum(axis=1)
         return dx
+
+
+def _block_forward(affine: Affine, act: LeakyReLU, bn: BatchNorm, x: np.ndarray, train: bool = False,
+                   ws: _Workspace | None = None) -> np.ndarray:
+    """Affine, leaky ReLU, then batch norm over (N, din) rows. With a
+    workspace the affine result goes to a scratch array that every block of
+    its width shares, and the block's output, at key (bn, "out"), and its
+    caches to arrays of its own."""
+    if ws is None:
+        return bn.forward(act.forward(affine.forward(x, train), train), train)
+    n, w = x.shape[0], affine.dout
+    y = act.forward(affine.forward(x, train, out=ws(("scratch", w), n, w)), train, out=ws((bn, "out"), n, w),
+                    keep=ws((act, "keep"), n, w, bool) if train else None)
+    return bn.forward(y, train, out=y, x_hat=ws((bn, "x_hat"), n, w) if train else None)
+
+
+def _block_backward(affine: Affine, act: LeakyReLU, bn: BatchNorm, grad_out: np.ndarray,
+                    ws: _Workspace | None = None, out=None, input_grad: bool = True):
+    """Backward through _block_forward; the input gradient goes to ``out``,
+    which may be the block's input."""
+    g = bn.backward(grad_out)
+    n, w = g.shape
+    g = act.backward(g, out=None if ws is None else ws(("scratch", w), n, w))
+    return affine.backward(g, out=out, input_grad=input_grad)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -13,6 +13,9 @@ multi-head pool with h=1. Heads are an axis of the arrays, not a loop.
 
 Pooling is stateless: each pooling call returns a cache that the matching
 backward call takes back. Inference pools one utterance as a batch of one.
+A pooling call may be given a (B*T, d) ``work`` array, which it uses for
+the centred values and which the backward call overwrites with the value
+gradient it returns; without one, both allocate.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Affine, BatchNorm, LeakyReLU, Parameter, softmax_rows
+from .nn import Affine, BatchNorm, LeakyReLU, Parameter, _block_backward, _block_forward, softmax_rows
 
 # Floor added to the weighted variance before the square root: sqrt(0) has an
 # unbounded derivative, and constant inputs do occur (padded chunks, tests).
 EPS_VAR = 1e-10
 
 
-def _weighted_stats(values: np.ndarray, alpha: np.ndarray):
+def _weighted_stats(values: np.ndarray, alpha: np.ndarray, work=None):
     """Weighted mean and standard deviation over time, per chunk and head.
 
     values is (B, T, d) and alpha (B, h, T); head i pools the i-th of h
@@ -42,12 +45,14 @@ def _weighted_stats(values: np.ndarray, alpha: np.ndarray):
     v = values.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)  # (B, h, T, d/h)
     a = alpha[:, :, None, :]  # (B, h, 1, T)
     mean = a @ v
-    squares = v - mean
+    if work is not None:  # laid out as a new v - mean is: (B, T, h, d/h) in memory
+        work = work.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
+    squares = np.subtract(v, mean, out=work)
     squares *= squares  # in place: no second (B, h, T, d/h) array
     std = np.sqrt(a @ squares + EPS_VAR)
     out = np.concatenate([mean.reshape(b, d), std.reshape(b, d)], axis=1)
-    # no (B, T, d) array beyond the values: the backward recomputes v - mean
-    return out, (alpha, v, mean, std)
+    # no (B, T, d) array beyond the values and work: the backward recomputes v - mean
+    return out, (alpha, v, mean, std, work)
 
 
 def _weighted_stats_backward(cache, grad_out: np.ndarray, weights: bool = True):
@@ -58,13 +63,13 @@ def _weighted_stats_backward(cache, grad_out: np.ndarray, weights: bool = True):
       d var / d v_t  = 2 alpha_t * centered_t
       d var / d a_t  = centered_t ** 2
     """
-    alpha, v, mean, std = cache
+    alpha, v, mean, std, work = cache
     b, h, t, dh = v.shape
     d_mean, d_std = grad_out.reshape(b, 2, h, 1, dh).transpose(1, 0, 2, 3, 4)
     d_var = d_std / (2.0 * std)
     # one (B, h, T, d/h) array holds the squares of the centered values for
     # d_alpha, then d_values = alpha * (d_mean + 2 d_var * centered)
-    work = v - mean
+    work = np.subtract(v, mean, out=work)
     d_alpha = None
     if weights:
         work *= work
@@ -79,10 +84,10 @@ def _weighted_stats_backward(cache, grad_out: np.ndarray, weights: bool = True):
 class StatsPool:
     """Statistics pooling: uniform-weight mean and standard deviation."""
 
-    def pool(self, values: np.ndarray):
+    def pool(self, values: np.ndarray, work=None):
         """Pool a (B, T, d) batch; returns ((B, 2d) pooled, cache)."""
         b, t, _ = values.shape
-        return _weighted_stats(values, np.full((b, 1, t), 1.0 / t))
+        return _weighted_stats(values, np.full((b, 1, t), 1.0 / t), work)
 
     def pool_backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """(B, 2d) output gradient -> (B, T, d) value gradient."""
@@ -118,16 +123,26 @@ class CompatibilityNet:
             params.extend(bn.parameters())
         return params
 
-    def forward(self, keys: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, keys: np.ndarray, train: bool = False, ws=None) -> np.ndarray:
+        """(N, key_dim) keys -> (N, d_q); with a _Workspace ``ws`` the result
+        and caches live in it."""
         h = keys
         for affine, act, bn in self.blocks:
-            h = bn.forward(act.forward(affine.forward(h, train), train), train)
+            h = _block_forward(affine, act, bn, h, train, ws)
         return h
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, ws=None) -> np.ndarray:
+        """With the forward's workspace, each block's input gradient
+        overwrites the output of the block before, and the key gradient gets
+        an array of its own: the keys are still to be read."""
         g = grad_out
-        for affine, act, bn in reversed(self.blocks):
-            g = affine.backward(act.backward(bn.backward(g)))
+        n = g.shape[0]
+        for i in reversed(range(len(self.blocks))):
+            affine, act, bn = self.blocks[i]
+            out = None
+            if ws is not None:
+                out = ws((self, "d_keys") if i == 0 else (self.blocks[i - 1][2], "out"), n, affine.din)
+            g = _block_backward(affine, act, bn, g, ws, out)
         return g
 
 
@@ -153,7 +168,7 @@ class MultiHeadPool:
     def parameters(self) -> list[Parameter]:
         return self.net.parameters() + [self.query]
 
-    def pool_from_compat(self, values: np.ndarray, compat: np.ndarray):
+    def pool_from_compat(self, values: np.ndarray, compat: np.ndarray, work=None):
         """Head-split pooling of (B, T, d_v) values against (B, T, d_q)
         precomputed compatibility outputs.
 
@@ -169,17 +184,20 @@ class MultiHeadPool:
             raise ConfigError(f"heads={h} does not divide the query dimension {d_q}")
         c = compat.reshape(b, t, h, d_q // h).transpose(0, 2, 1, 3)  # (B, h, T, d_q/h)
         alpha = softmax_rows((c @ self.query.value.reshape(h, d_q // h, 1))[..., 0])
-        pooled, ws_cache = _weighted_stats(values, alpha)
+        pooled, ws_cache = _weighted_stats(values, alpha, work)
         return pooled, alpha, (ws_cache, c)
 
-    def backward_from_compat(self, cache, grad_out: np.ndarray):
+    def backward_from_compat(self, cache, grad_out: np.ndarray, out=None):
         """Counterpart of pool_from_compat: accumulates the query gradient,
-        returns ((B, T, d_v) d_values, (B, T, d_q) d_compat)."""
+        returns ((B, T, d_v) d_values, (B, T, d_q) d_compat). ``out`` takes
+        d_compat and may be the compatibility outputs, read before it is
+        written."""
         ws_cache, c = cache
         alpha = ws_cache[0]
         b, h, t, dqh = c.shape
         d_values, d_alpha = _weighted_stats_backward(ws_cache, grad_out)
         d_logits = alpha * (d_alpha - (alpha[..., None, :] @ d_alpha[..., None])[..., 0])
         self.query.grad += (c.swapaxes(2, 3) @ d_logits[..., None]).sum(axis=0).reshape(h * dqh)
-        d_compat = d_logits.transpose(0, 2, 1)[..., None] * self.query.value.reshape(h, dqh)
+        d_compat = np.multiply(d_logits.transpose(0, 2, 1)[..., None], self.query.value.reshape(h, dqh),
+                               out=None if out is None else out.reshape(b, t, h, dqh))
         return d_values, d_compat.reshape(b, t, h * dqh)

@@ -1,8 +1,8 @@
 """Shared test utilities: an independent central-difference gradient oracle,
 an exact-rational detection-metric oracle, a plain-NumPy single-head
-attention pooling reference and a plain-NumPy unfolded inference forward,
-plus the package's single-head pool over given logits that the pooling
-checks exercise.
+attention pooling reference, a plain-NumPy unfolded inference forward and a
+frame-by-frame gate sampler, plus the package's single-head pool over given
+logits that the pooling checks exercise.
 
 The oracles are deliberately separate from the package's own
 implementations so the two routes can vouch for each other.
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from xvec.data import stationary_on_fraction
 from xvec.nn import BN_EPSILON, LEAKY_SLOPE, Parameter
 from xvec.pooling import EPS_VAR, CompatibilityNet, MultiHeadPool
 
@@ -127,6 +128,21 @@ def reference_forward(model, feats):
     logits = arrays["classifier.weight"] @ z + arrays["classifier.bias"]
     e = np.exp(logits - logits.max())
     return preacts, e / e.sum(), attention
+
+
+# -- gate sampler ---------------------------------------------------------------
+
+
+def sample_gate_loop(rng, t, p_stay_on, p_stay_off):
+    """The two-state gate chain one frame at a time, from the same t uniform
+    draws as data._sample_gate."""
+    gate = np.empty(t, dtype=np.int8)
+    u = rng.random(t)
+    gate[0] = 1 if u[0] < stationary_on_fraction(p_stay_on, p_stay_off) else 0
+    for i in range(1, t):
+        stay = p_stay_on if gate[i - 1] else p_stay_off
+        gate[i] = gate[i - 1] if u[i] < stay else 1 - gate[i - 1]
+    return gate
 
 
 # -- detection-metric oracle (exact rational arithmetic) -----------------------

@@ -1,9 +1,13 @@
+import json
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from helpers import sample_gate_loop
 
+from xvec import data
+from xvec.cli import main
 from xvec.config import from_json
 from xvec.data import (
     Dataset,
@@ -113,6 +117,28 @@ class TestGenSynthetic:
             if len(off):
                 np.testing.assert_allclose(off, 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("p_stay_on, p_stay_off", [(0.9, 0.9), (0.95, 0.8), (0.0, 0.0), (0.0, 0.7),
+                                                        (0.6, 0.0), (0.5, 0.999), (0.02, 0.03)])
+    def test_gate_sampler_matches_the_loop(self, p_stay_on, p_stay_off):
+        for seed in range(60):
+            t = [1, 2, 3][seed] if seed < 3 else int(np.random.default_rng(seed).integers(1, 400))
+            got = data._sample_gate(np.random.default_rng(seed), t, p_stay_on, p_stay_off)
+            want = sample_gate_loop(np.random.default_rng(seed), t, p_stay_on, p_stay_off)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, t {t}")
+
+    def test_gen_data_writes_the_loop_sampler_corpus(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.json"
+        synth = asdict(small_config(p_stay_on=0.8, p_stay_off=0.6))
+        cfg.write_text(json.dumps({"synth": {"train": synth, "eval": synth}, "trials": {"enroll_per_speaker": 1}}))
+        assert main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "fast")]) == 0
+        monkeypatch.setattr(data, "_sample_gate", sample_gate_loop)
+        assert main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "loop")]) == 0
+        files = sorted(p.relative_to(tmp_path / "loop") for p in (tmp_path / "loop").rglob("*") if p.is_file())
+        assert len(files) == 2 * 12 + 6  # features, then a manifest and gates per split, trials and enrollment
+        for rel in files:
+            assert (tmp_path / "fast" / rel).read_bytes() == (tmp_path / "loop" / rel).read_bytes(), rel
+
     def test_split_tag_in_ids(self):
         ds = gen_synthetic(small_config(), split="eval")
         assert ds.split == "eval"
@@ -126,8 +152,8 @@ class TestFeatureFiles:
         path = tmp_path / "a.xvf"
         write_features(path, x)
         got = read_features(path)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, x.astype(np.float32).astype(np.float64))
+        assert got.dtype == np.float32  # as on disk; the model widens exactly
+        np.testing.assert_array_equal(got, x.astype(np.float32))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.xvf"

@@ -210,8 +210,8 @@ class TestForward:
         model = build_model(tiny_config("multihead"), seed=4)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, 4))
-        full = model.forward(x).frame_activations[0]
-        half = model.forward(x[:4]).frame_activations[0]
+        full = model.forward(x, activations=True).frame_activations[0]
+        half = model.forward(x[:4], activations=True).frame_activations[0]
         np.testing.assert_array_equal(full[:3], half[:3])  # splice edge differs at row 3
 
     def test_duplicated_frames_stats_invariance(self):
@@ -230,7 +230,7 @@ class TestForward:
         np.testing.assert_array_equal(
             explicit.forward(x).posteriors, default.forward(x).posteriors
         )
-        trace = explicit.forward(x)
+        trace = explicit.forward(x, activations=True)
         keys = explicit.frame_blocks[2].bn.forward(trace.frame_activations[2])
         np.testing.assert_array_equal(keys, trace.values)
 
@@ -242,7 +242,7 @@ class TestForward:
         for pooling in ("attention", "multihead"):
             model = build_model(tiny_config(pooling), seed=7)
             model.pool.query.value *= 1e-3
-            trace = model.forward(x)
+            trace = model.forward(x, activations=True)
             (reference,), _ = StatsPool().pool(trace.values[None])
             rel = np.abs(trace.pooled - reference) / np.maximum(np.abs(reference), 1e-8)
             assert rel.max() < 1e-2
@@ -429,12 +429,11 @@ class TestBatchedForward:
 
         model.zero_grad()
         posteriors, cache = model.forward_batch(feats, train=True)
-        d_input = model.backward_batch(cross_entropy_backward(posteriors, labels), cache)
+        model.backward_batch(cross_entropy_backward(posteriors, labels), cache)
         for n, a in running.items():
             a[...] = saved[n]
         for p in model.parameters():
             assert_grads_close(p.grad, numeric_grad(loss, p.value), what=p.name)
-        assert_grads_close(d_input, numeric_grad(loss, feats), what="input")
 
 
 class TestCheckpoint:

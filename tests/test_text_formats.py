@@ -1,8 +1,9 @@
 """Properties of the text formats: the dataset manifest and gates, trials,
 enrollment maps and scores. Each round-trips through its public writer and
-reader, with LF or CRLF line ends, for ids holding any character but a tab
-or a line break; a repeated key fails naming its line and the first; no
-writer writes a field that would not read back."""
+reader, with LF or CRLF line ends, for ids holding any character but a tab,
+a line break or a lone surrogate; a repeated key fails naming its line and
+the first; no writer writes a field that would not read back, nor a file
+with no rows."""
 
 import re
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xvec.data import Dataset, Utterance, _read_rows, _write_rows, load_dataset, write_dataset
+from xvec.data import Dataset, Utterance, _read_rows, _write_rows, load_dataset, write_dataset, write_embeddings
 from xvec.errors import DataError, FormatError
 from xvec.evaluation import (Trial, read_enroll_map, read_scores, read_trials, write_enroll_map, write_scores,
                              write_trials)
@@ -149,3 +150,45 @@ def test_writer_refuses_a_tab_or_line_break(tmp_path, data, rows, bad):
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write a field holding a tab"):
         _write_rows(path, rows)
     assert not path.exists()
+
+
+# A lone surrogate cannot be encoded as UTF-8. Each writer, given ids drawn as
+# above with one surrogate put into one of them, refuses that id by name.
+SURROGATES = st.sampled_from("\ud800\udbff\udc00\udfff")
+WRITERS = {
+    "trials": lambda path, ids: write_trials(path, [Trial(ids[0], i, True) for i in ids]),
+    "enroll": lambda path, ids: write_enroll_map(path, {ids[0]: list(dict.fromkeys(ids))}),
+    "scores": lambda path, ids: write_scores(path, [(Trial(ids[0], i), 0.5) for i in ids]),
+    "manifest": lambda path, ids: write_dataset(Dataset([Utterance(f"u{k}", i, np.zeros((1, 1)))
+                                                         for k, i in enumerate(ids)], sorted(set(ids))), path.parent),
+    "embeddings": lambda path, ids: write_embeddings(path, {i: [0.5] for i in ids}),
+}
+
+
+@pytest.mark.parametrize("fmt", WRITERS)
+@PROPERTY
+@given(data=st.data(), ids=st.lists(IDS, min_size=1, max_size=4, unique=True), bad=SURROGATES)
+def test_writer_refuses_a_lone_surrogate(fmt, tmp_path, data, ids, bad):
+    i = data.draw(st.integers(0, len(ids) - 1))
+    cut = data.draw(st.integers(0, len(ids[i])))
+    ids[i] = ids[i][:cut] + bad + ids[i][cut:]
+    first = next(utt_id for utt_id in ids if any(c in utt_id for c in "\ud800\udbff\udc00\udfff"))
+    path = tmp_path / ("manifest.tsv" if fmt == "manifest" else f"out.{fmt}")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write a string that is not valid "
+                                        f"Unicode: {re.escape(repr(first))}$"):
+        WRITERS[fmt](path, ids)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write, name", [
+    (lambda path: write_trials(path, []), "trials.tsv"),
+    (lambda path: write_enroll_map(path, {}), "enroll.tsv"),
+    (lambda path: write_scores(path, []), "scores.tsv"),
+    (lambda path: write_dataset(Dataset([], []), path.parent), "manifest.tsv"),
+])
+def test_writer_refuses_no_rows(tmp_path, write, name):
+    path = tmp_path / "out" / name
+    path.parent.mkdir()
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write a file with no rows$"):
+        write(path)
+    assert list(path.parent.iterdir()) == []
