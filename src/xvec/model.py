@@ -313,13 +313,18 @@ class Model:
         if train:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
         t = x.shape[0]
+        # Buffers are shared by width: each one's contents are read before
+        # the next layer overwrites them, except the key layer's output,
+        # which the compatibility net reads after the frame layers.
+        key_idx = self.config.effective_key_layer - 1 if plan.compat else -1
         frame_acts = []
         h = x
-        for splice, affine, act in plan.frame:
-            h = splice.forward(h, out=None if affine.din == h.shape[1] else ws((splice, "out"), t, affine.din))
-            h = act.forward(affine.forward(h, out=ws(("scratch", affine.dout), t, affine.dout)),
-                            out=ws((act, "out"), t, affine.dout))
-            frame_acts.append(h)
+        for i, (splice, affine, act) in enumerate(plan.frame):
+            din, w = affine.din, affine.dout
+            h = splice.forward(h, out=None if din == h.shape[1] else ws(("splice", din), t, din))
+            h = act.forward(affine.forward(h, out=ws(("scratch", w), t, w)), out=ws("keys" if i == key_idx else w, t, w))
+            if activations:
+                frame_acts.append(h.copy())
         values = plan.values_bn.forward(h, out=ws("values", t, h.shape[1]))
         attention = None
         work = ws("work", t, values.shape[1])
@@ -327,10 +332,10 @@ class Model:
             pooled, _ = self.pool.pool(values[None], work)
         else:
             # the key block's batch norm is folded into plan.compat[0]
-            c = frame_acts[self.config.effective_key_layer - 1]
+            c = ws("keys", t, plan.compat[0][0].din)
             for affine, act in plan.compat:
-                c = act.forward(affine.forward(c, out=ws(("scratch", affine.dout), t, affine.dout)),
-                                out=ws((act, "out"), t, affine.dout))
+                w = affine.dout
+                c = act.forward(affine.forward(c, out=ws(("scratch", w), t, w)), out=ws(w, t, w))
             c = plan.compat_bn.forward(c, out=c)
             pooled, (attention,), _ = self.pool.pool_from_compat(values[None], c[None], work)
         z = pooled
@@ -342,7 +347,7 @@ class Model:
         posteriors = self.softmax.forward(self.classifier.forward(z))
         if not activations:
             return ForwardTrace(posteriors, pooled=pooled[0], utterance_preactivations=preacts, attention=attention)
-        return ForwardTrace(posteriors, [a.copy() for a in frame_acts], values.copy(), pooled[0], preacts, attention)
+        return ForwardTrace(posteriors, frame_acts, values.copy(), pooled[0], preacts, attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.
