@@ -185,7 +185,7 @@ def test_writer_refuses_a_lone_surrogate(fmt, tmp_path, data, ids, bad):
     (lambda path: write_enroll_map(path, {}), "enroll.tsv"),
     (lambda path: write_scores(path, []), "scores.tsv"),
     (lambda path: write_dataset(Dataset([], []), path.parent), "manifest.tsv"),
-])
+], ids=["trials", "enroll", "scores", "manifest"])
 def test_writer_refuses_no_rows(tmp_path, write, name):
     path = tmp_path / "out" / name
     path.parent.mkdir()
