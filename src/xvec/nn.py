@@ -4,11 +4,12 @@ Everything operates on float64 matrices whose rows index time and whose
 columns index features. Layers cache the activations they need for the
 backward pass only when ``train=True``; inference-mode forwards are pure.
 
-Every forward and backward takes an optional ``out=`` array for its
-result, and the train-mode caches of leaky ReLU and batch norm take one
-too, so a caller that holds its buffers (a _Workspace) runs without
-allocating. Without them each call returns fresh arrays; either way the
-result has the same bits and no input is modified.
+The forwards and backwards of the frame layers (affine, leaky ReLU, batch
+norm, splice) take an optional ``out=`` array for their result, and the
+train-mode caches of leaky ReLU and batch norm take one too, so a caller
+that holds its buffers (a _Workspace) runs without allocating. Without
+them each call returns fresh arrays; either way the result has the same
+bits and no input is modified.
 """
 
 from __future__ import annotations
