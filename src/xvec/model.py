@@ -136,14 +136,9 @@ class ModelConfig:
 @dataclass
 class ForwardTrace:
     """What one forward pass produced, in arrays of its own. A train-mode
-    forward reports only the posteriors, and an inference forward the frame
-    activations and values only when asked for them."""
+    forward reports only the posteriors."""
 
     posteriors: np.ndarray  # 1 x K
-    # per frame block, the leaky ReLU output before the block's batch norm
-    # (the plan folds that batch norm into the next affine)
-    frame_activations: list = field(default_factory=list)
-    values: np.ndarray | None = None  # the last block's batch-normed output, what pooling reads
     pooled: np.ndarray | None = None
     utterance_preactivations: list = field(default_factory=list)
     attention: np.ndarray | None = None  # h x T weights, None for stats pooling
@@ -291,40 +286,40 @@ class Model:
         return InferencePlan(frame, blocks[-1].bn, compat, bn)
 
     def forward(self, features: np.ndarray, train: bool = False,
-                plan: InferencePlan | None = None, activations: bool = False) -> ForwardTrace:
+                plan: InferencePlan | None = None) -> ForwardTrace:
         """Forward one T x d utterance.
 
         Inference (train=False) runs ``plan``, by default one built for this
         call; a loop over utterances builds it once with inference_plan()
         and passes it in, which changes no result and reuses the plan's
-        buffers. ``activations`` adds copies of the frame activations and
-        the values to the trace. train=True runs forward_batch on a batch of
-        this one chunk: batch norm uses the chunk's own frame statistics and
-        updates the running ones.
+        buffers. train=True runs forward_batch on a batch of this one chunk:
+        batch norm uses the chunk's own frame statistics and updates the
+        running ones.
         """
         if not train and plan is None:
             plan = self.inference_plan()
-        ws = None if train else plan.workspace
-        x = as_matrix(features, None if train else lambda shape: ws("input", *shape))
+        x = np.asarray(features)
+        if not train and x.ndim == 2 and x.dtype != np.float64:
+            # widen float32 features into the plan's buffer, not a new array
+            wide = plan.workspace("input", *x.shape)
+            wide[...] = x
+            x = wide
+        x = as_matrix(x)
         if x.shape[1] != self.config.input_dim:
             raise DataError(
                 f"features have {x.shape[1]} columns, model expects {self.config.input_dim}"
             )
         if train:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
+        ws = plan.workspace
         t = x.shape[0]
-        # Buffers are shared by width: each one's contents are read before
-        # the next layer overwrites them, except the key layer's output,
-        # which the compatibility net reads after the frame layers.
-        key_idx = self.config.effective_key_layer - 1 if plan.compat else -1
         frame_acts = []
         h = x
-        for i, (splice, affine, act) in enumerate(plan.frame):
-            din, w = affine.din, affine.dout
-            h = splice.forward(h, out=None if din == h.shape[1] else ws(("splice", din), t, din))
-            h = act.forward(affine.forward(h, out=ws(("scratch", w), t, w)), out=ws("keys" if i == key_idx else w, t, w))
-            if activations:
-                frame_acts.append(h.copy())
+        for splice, affine, act in plan.frame:
+            h = splice.forward(h, out=None if affine.din == h.shape[1] else ws((splice, "out"), t, affine.din))
+            h = act.forward(affine.forward(h, out=ws(("scratch", affine.dout), t, affine.dout)),
+                            out=ws((act, "out"), t, affine.dout))
+            frame_acts.append(h)
         values = plan.values_bn.forward(h, out=ws("values", t, h.shape[1]))
         attention = None
         work = ws("work", t, values.shape[1])
@@ -332,10 +327,10 @@ class Model:
             pooled, _ = self.pool.pool(values[None], work)
         else:
             # the key block's batch norm is folded into plan.compat[0]
-            c = ws("keys", t, plan.compat[0][0].din)
+            c = frame_acts[self.config.effective_key_layer - 1]
             for affine, act in plan.compat:
-                w = affine.dout
-                c = act.forward(affine.forward(c, out=ws(("scratch", w), t, w)), out=ws(w, t, w))
+                c = act.forward(affine.forward(c, out=ws(("scratch", affine.dout), t, affine.dout)),
+                                out=ws((act, "out"), t, affine.dout))
             c = plan.compat_bn.forward(c, out=c)
             pooled, (attention,), _ = self.pool.pool_from_compat(values[None], c[None], work)
         z = pooled
@@ -345,9 +340,7 @@ class Model:
             preacts.append(z[0].copy())
             z = act.forward(z)
         posteriors = self.softmax.forward(self.classifier.forward(z))
-        if not activations:
-            return ForwardTrace(posteriors, pooled=pooled[0], utterance_preactivations=preacts, attention=attention)
-        return ForwardTrace(posteriors, frame_acts, values.copy(), pooled[0], preacts, attention)
+        return ForwardTrace(posteriors, pooled[0], preacts, attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.

@@ -24,23 +24,14 @@ BN_MOMENTUM = 0.99
 PROB_FLOOR = 1e-12
 
 
-def as_matrix(x, alloc=None) -> np.ndarray:
-    """Coerce to a 2-D float64 array, validating finiteness. A float64 array
-    comes back as is; any other input is widened into ``alloc((t, d))`` when
-    given, else into a new array."""
-    a = np.asarray(x)
+def as_matrix(x) -> np.ndarray:
+    """Coerce to a 2-D float64 array, validating finiteness."""
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim == 1:
         a = a[None, :]
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ConfigError(f"expected a T x d matrix, got shape {a.shape}")
-    if a.dtype != np.float64:
-        if alloc is None:
-            a = a.astype(np.float64)
-        else:
-            wide = alloc(a.shape)
-            wide[...] = a
-            a = wide
-    if not np.isfinite(a).all():
+    if not np.all(np.isfinite(a)):
         raise DataError("matrix contains non-finite entries")
     return a
 

@@ -47,8 +47,8 @@ def peak_allocation(fn) -> int:
 
 
 def arrays(trace):
-    out = [trace.posteriors, trace.values, trace.pooled, trace.attention]
-    return [a for a in out + trace.frame_activations + trace.utterance_preactivations if a is not None]
+    out = [trace.posteriors, trace.pooled, trace.attention]
+    return [a for a in out + trace.utterance_preactivations if a is not None]
 
 
 @pytest.mark.parametrize("pooling", POOLINGS)
@@ -88,9 +88,9 @@ def test_two_traces_through_one_plan_share_no_memory(pooling):
     model = build_model(config(pooling), seed=3)
     plan = model.inference_plan()
     rng = np.random.default_rng(3)
-    first = model.forward(rng.standard_normal((30, 4)), plan=plan, activations=True)
+    first = model.forward(rng.standard_normal((30, 4)), plan=plan)
     kept = [a.copy() for a in arrays(first)]
-    second = model.forward(rng.standard_normal((30, 4)), plan=plan, activations=True)
+    second = model.forward(rng.standard_normal((30, 4)), plan=plan)
     for a in arrays(first):
         assert not any(np.shares_memory(a, b) for b in arrays(second))
     for a, b in zip(arrays(first), kept):
