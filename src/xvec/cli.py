@@ -101,6 +101,7 @@ def cmd_gen_data(args) -> int:
     data.write_dataset(train_set, out / "train")
     print(f"wrote {len(train_set.utterances)} utterances "
           f"({train_set.num_speakers} speakers) to {out / 'train'}")
+    del train_set  # hold one split's features at a time
 
     if eval_cfg is not None:
         eval_set = data.gen_synthetic(eval_cfg, split="eval")

@@ -24,12 +24,17 @@ on the values and on the compatibility output, still run as batch norms:
 the variance floor and the softmax are not affine.
 
 Neither path allocates its frame-level arrays once warm. The model owns a
-workspace for forward_batch and backward_batch, keyed by layer, and a plan
-owns one sized to the longest utterance it has run; each layer writes its
-result into a buffer of it. A block's input gradient overwrites the block's
-input, which only its weight gradient still reads. What a call hands back
-(posteriors, embeddings, ForwardTrace fields) is a new array, never a view
-of a workspace.
+workspace for forward_batch and backward_batch that keeps only what the
+backward pass reads: per block its output, its normalized batch (which
+holds the affine result until batch norm writes it there) and its leaky
+ReLU mask; one splice buffer that every splicing block shares, and which
+the backward pass fills again for each block but the last; and the pooling
+work array. A plan owns a workspace sized to the longest utterance it has
+run: an array per layer, and one per width for the affine results its leaky
+ReLUs read. Each layer writes its result into a buffer of its workspace. A block's input gradient overwrites the block's input, which
+only its weight gradient still reads. What a call hands back (posteriors,
+embeddings, ForwardTrace fields) is a new array, never a view of a
+workspace.
 """
 
 from __future__ import annotations
@@ -363,13 +368,19 @@ class Model:
         ws = self._workspace
         key_idx = self.config.effective_key_layer - 1
         h = x
-        frames = []  # per block: its (B, T, d) input and its affine's (B*T, K*d) input
+        # one splice buffer, as wide as the widest splice, serves every block
+        # that splices; backward_batch splices again into it what it needs
+        widest = max((block.affine.din for block in self.frame_blocks if block.splice.width_multiplier > 1),
+                     default=0)
+        frames = []  # per block: its (B, T, d) input, its splice buffer or None, its affine's input
         keys_flat = compat = None
         for i, block in enumerate(self.frame_blocks):
             cols = block.affine.din
-            out = None if cols == h.shape[2] else ws((block.splice, "out"), b * t, cols).reshape(b, t, cols)
+            out = None
+            if block.splice.width_multiplier > 1:
+                out = ws("spliced", b * t, widest).reshape(-1)[: b * t * cols].reshape(b, t, cols)
             spliced = block.splice.forward_batch(h, train, out).reshape(b * t, cols)
-            frames.append((h, spliced))
+            frames.append((h, out, spliced))
             flat = _block_forward(block.affine, block.act, block.bn, spliced, train, ws)
             h = flat.reshape(b, t, flat.shape[1])
             if i == key_idx:
@@ -390,7 +401,9 @@ class Model:
         gradients; the input gradient is not computed. Each frame block's
         input gradient overwrites that block's input in the workspace: only
         the block's own weight gradient reads it after the pooling and
-        compatibility net backward passes."""
+        compatibility net backward passes. The blocks that splice share one
+        buffer, so each but the last splices its input into it again before
+        its weight gradient reads it."""
         pool_cache, frames, compat = cache
         g = self.softmax.backward(d_posteriors)
         g = self.classifier.backward(g)
@@ -407,11 +420,16 @@ class Model:
         b, t, d_v = d_values.shape
         key_idx = self.config.effective_key_layer - 1
         g_flat = d_values.reshape(b * t, d_v)
+        resplice = False  # the last spliced block's splice is still in the buffer
         for layer in reversed(range(len(self.frame_blocks))):
             if d_keys_flat is not None and layer == key_idx:
                 g_flat += d_keys_flat
             block = self.frame_blocks[layer]
-            h, spliced = frames[layer]
+            h, buffer, spliced = frames[layer]
+            if buffer is not None:
+                if resplice:  # a later block's splice overwrote this one's
+                    block.splice.forward_batch(h, out=buffer)
+                resplice = True
             # frame0's input gradient would be thrown away
             g_flat = _block_backward(block.affine, block.act, block.bn, g_flat, ws, spliced, input_grad=layer > 0)
             if layer:

@@ -331,24 +331,26 @@ class Splice:
 def _block_forward(affine: Affine, act: LeakyReLU, bn: BatchNorm, x: np.ndarray, train: bool = False,
                    ws: _Workspace | None = None) -> np.ndarray:
     """Affine, leaky ReLU, then batch norm over (N, din) rows. With a
-    workspace the affine result goes to a scratch array that every block of
-    its width shares, and the block's output, at key (bn, "out"), and its
-    caches to arrays of its own."""
+    workspace the block uses three arrays of its own: the affine result goes
+    to the (bn, "x_hat") array, which the leaky ReLU reads before batch norm
+    writes x_hat there; the output to (bn, "out"); the ReLU's mask to
+    (act, "keep")."""
     if ws is None:
         return bn.forward(act.forward(affine.forward(x, train), train), train)
     n, w = x.shape[0], affine.dout
-    y = act.forward(affine.forward(x, train, out=ws(("scratch", w), n, w)), train, out=ws((bn, "out"), n, w),
+    x_hat = ws((bn, "x_hat"), n, w)
+    y = act.forward(affine.forward(x, train, out=x_hat), train, out=ws((bn, "out"), n, w),
                     keep=ws((act, "keep"), n, w, bool) if train else None)
-    return bn.forward(y, train, out=y, x_hat=ws((bn, "x_hat"), n, w) if train else None)
+    return bn.forward(y, train, out=y, x_hat=x_hat if train else None)
 
 
 def _block_backward(affine: Affine, act: LeakyReLU, bn: BatchNorm, grad_out: np.ndarray,
                     ws: _Workspace | None = None, out=None, input_grad: bool = True):
     """Backward through _block_forward; the input gradient goes to ``out``,
-    which may be the block's input."""
+    which may be the block's input. With a workspace the leaky ReLU's
+    gradient overwrites ``grad_out``, which batch norm has read by then."""
     g = bn.backward(grad_out)
-    n, w = g.shape
-    g = act.backward(g, out=None if ws is None else ws(("scratch", w), n, w))
+    g = act.backward(g, out=None if ws is None else grad_out)
     return affine.backward(g, out=out, input_grad=input_grad)
 
 

@@ -113,10 +113,11 @@ class Optimizer:
 
 
 def train_step(model: Model, optimizer: Optimizer, features: np.ndarray,
-               labels: np.ndarray, step: int) -> float:
+               labels: np.ndarray, step: int) -> tuple[float, float]:
     """One batched forward/backward (batch norm statistics span the whole
     batch, losses and pooling stay per chunk) and one optimizer update.
-    Returns the mean cross entropy over the chunks."""
+    Returns the mean cross entropy over the chunks and the pre-clip global
+    gradient norm."""
     model.zero_grad()
     labels = np.asarray(labels)
     posteriors, cache = model.forward_batch(features, train=True)
@@ -128,8 +129,7 @@ def train_step(model: Model, optimizer: Optimizer, features: np.ndarray,
         for p in params:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingError(f"non-finite gradient in group '{group}' ({p.name}) at step {step}")
-    optimizer.step()
-    return loss
+    return loss, optimizer.step()
 
 
 @dataclass
@@ -175,11 +175,12 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
             for feats, labels in make_batches(dataset, cfg.chunk_len, cfg.batch_size,
                                               seed=[cfg.seed, epoch]):
                 step += 1
-                loss = train_step(model, optimizer, feats, labels, step)
+                loss, norm = train_step(model, optimizer, feats, labels, step)
                 report.step_losses.append(loss)
                 if log_file is not None:
                     log_file.write(json.dumps(
-                        {"step": step, "loss": loss, "lr": cfg.lr, "epoch": epoch}) + "\n")
+                        {"step": step, "loss": loss, "grad_norm": norm, "clipped": 0.0 < cfg.clip_norm < norm,
+                         "lr": cfg.lr, "epoch": epoch}) + "\n")
             acc = classification_accuracy(model, dataset)
             report.epoch_accuracies.append(acc)
             log.info("epoch %d: loss %.4f, train accuracy %.4f",

@@ -1,14 +1,21 @@
-"""Buffer reuse: after a warm-up, a train step and a plan forward allocate
-almost nothing; what they hand back shares no memory with a later call; and
-a layer given out= buffers computes the same bits as without them."""
+"""Buffer reuse and memory footprint: after a warm-up, a train step and a
+plan forward allocate almost nothing; a reused workspace gives the same bits
+as fresh arrays and holds only what the backward pass reads; what a call
+hands back shares no memory with a later call; a layer given out= buffers
+computes the same bits as without them; and gen-data holds one split's
+features at a time."""
 
+import copy
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from xvec import data, evaluation
+from xvec.cli import main
 from xvec.model import FrameLayerSpec, ModelConfig, build_model
-from xvec.nn import Affine, BatchNorm, LeakyReLU, Parameter, Splice
+from xvec.nn import Affine, BatchNorm, LeakyReLU, Parameter, Splice, cross_entropy_backward
 from xvec.pooling import CompatibilityNet, MultiHeadPool, StatsPool
 from xvec.train import Optimizer, TrainConfig, train_step
 
@@ -95,6 +102,101 @@ def test_two_traces_through_one_plan_share_no_memory(pooling):
         assert not any(np.shares_memory(a, b) for b in arrays(second))
     for a, b in zip(arrays(first), kept):
         np.testing.assert_array_equal(a, b)
+
+
+class FreshArrays:
+    """A stand-in for a model's workspace that hands out a new array, filled
+    with NaN where it can be, on every call: nothing is shared or reused."""
+
+    def __call__(self, key, rows, cols, dtype=np.float64):
+        return np.full((rows, cols), np.nan if dtype == np.float64 else True, dtype)
+
+
+def batch_step(model, feats, labels):
+    """One forward and backward; returns the posteriors, every gradient and
+    every batch norm's running statistics."""
+    model.zero_grad()
+    posteriors, cache = model.forward_batch(feats, train=True)
+    model.backward_batch(cross_entropy_backward(posteriors, labels), cache)
+    stats = [a for name, a in model.state_arrays() if ".running_" in name]
+    return [posteriors.copy()] + [p.grad.copy() for p in model.parameters()] + [a.copy() for a in stats]
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_reused_workspace_matches_fresh_arrays_step_by_step(pooling):
+    """A model steps on one batch, a new batch, then shorter chunks; each
+    step matches a copy of the model that runs only that step on arrays of
+    its own. Blocks that splice share one buffer, so the backward pass must
+    splice each block's input again before its weight gradient."""
+    model = build_model(config(pooling), seed=4)
+    optimizer = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
+    rng = np.random.default_rng(4)
+    for t in (16, 16, 9):
+        feats, labels = rng.standard_normal((5, t, 4)), rng.integers(0, 3, size=5)
+        reference = copy.deepcopy(model)
+        reference._workspace = FreshArrays()
+        for got, want in zip(batch_step(model, feats, labels), batch_step(reference, feats, labels), strict=True):
+            same_bits(got, want)
+        optimizer.step()
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_workspace_holds_only_what_the_backward_pass_reads(pooling):
+    cfg = config(pooling)
+    model = build_model(cfg, seed=5)
+    optimizer = Optimizer(model.parameters(), TrainConfig())
+    rng = np.random.default_rng(5)
+    b, t = 6, 20
+    for step in (1, 2):
+        train_step(model, optimizer, rng.standard_normal((b, t, 4)), rng.integers(0, 3, size=b), step)
+    arrays = model._workspace._arrays
+    n = b * t
+    blocks = [(blk.act, blk.bn) for blk in model.frame_blocks]
+    if pooling != "stats":
+        blocks += [(act, bn) for _, act, bn in model.pool.net.blocks]
+    expected = {"spliced", "work"} | {(bn, "out") for _, bn in blocks} | {(bn, "x_hat") for _, bn in blocks}
+    expected |= {(act, "keep") for act, _ in blocks}
+    widest = max(blk.affine.din for blk in model.frame_blocks if blk.splice.width_multiplier > 1)
+    size = n * widest * 8 + n * cfg.value_dim * 8 + sum(n * bn.dim * (8 + 8 + 1) for _, bn in blocks)
+    if pooling != "stats":
+        expected.add((model.pool.net, "d_keys"))
+        size += n * cfg.frame_layers[cfg.key_layer - 1].width * 8
+    assert set(arrays) == expected
+    assert sum(a.nbytes for a in arrays.values()) == size
+
+
+def split_feature_bytes(split_cfg):
+    return sum(u.features.nbytes for u in data.gen_synthetic(split_cfg).utterances)
+
+
+def test_gen_data_holds_one_split_at_a_time(tmp_path):
+    split = {"num_speakers": 4, "utts_per_speaker": 5, "min_frames": 200, "max_frames": 300, "dim": 32}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"synth": {"train": dict(split, seed=1), "eval": dict(split, seed=2)},
+                                       "trials": {"enroll_per_speaker": 2, "seed": 3}}))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["gen-data", "--config", str(config_path), "--out-dir", str(tmp_path / "corpus")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    train_cfg, eval_cfg = (data.SynthConfig(**split, seed=s) for s in (1, 2))
+    assert peak < split_feature_bytes(train_cfg) + split_feature_bytes(eval_cfg)
+
+    # the same corpus, each part written on its own
+    want = tmp_path / "want"
+    data.write_dataset(data.gen_synthetic(train_cfg, split="train"), want / "train")
+    eval_set = data.gen_synthetic(eval_cfg, split="eval")
+    data.write_dataset(eval_set, want / "eval")
+    trials, enroll_map = evaluation.make_trials(eval_set, 2, 3)
+    evaluation.write_trials(want / "trials.tsv", trials)
+    evaluation.write_enroll_map(want / "enroll.tsv", enroll_map)
+    got = tmp_path / "corpus"
+    files = sorted(p.relative_to(want) for p in want.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(got) for p in got.rglob("*") if p.is_file())
+    for rel in files:
+        assert (got / rel).read_bytes() == (want / rel).read_bytes(), rel
 
 
 def same_bits(a, b):

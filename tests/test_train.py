@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xvec.config import from_json
-from xvec.data import Dataset, SynthConfig, Utterance, gen_synthetic
+from xvec.data import Dataset, SynthConfig, Utterance, gen_synthetic, make_batches
 from xvec.errors import ConfigError, DataError, TrainingError
 from xvec.model import FrameLayerSpec, ModelConfig, build_model, load_model
 from xvec.nn import Parameter
@@ -156,7 +156,7 @@ class TestTrainStep:
         opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
         before = [(n, a.copy()) for n, a in model.state_arrays()
                   if "running" not in n]
-        loss = train_step(model, opt, feats, labels, step=1)
+        loss, _ = train_step(model, opt, feats, labels, step=1)
         assert np.isfinite(loss) and loss > 0
         for (name, expect), (got_name, got) in zip(
             before, ((n, a) for n, a in model.state_arrays() if "running" not in n)
@@ -172,8 +172,8 @@ class TestTrainStep:
         trace = model.forward(chunk, train=True)
         expected = -np.log(trace.posteriors[0, 2])
         opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
-        loss = train_step(model, opt, np.repeat(chunk[None], 3, axis=0),
-                          np.array([2, 2, 2]), step=1)
+        loss, _ = train_step(model, opt, np.repeat(chunk[None], 3, axis=0),
+                             np.array([2, 2, 2]), step=1)
         np.testing.assert_allclose(loss, expected, rtol=1e-12)
 
     def test_loss_averages_per_chunk_terms(self):
@@ -183,7 +183,7 @@ class TestTrainStep:
         posteriors, _ = model.forward_batch(feats, train=True)
         per_chunk = [-np.log(posteriors[i, labels[i]]) for i in range(3)]
         opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
-        loss = train_step(model, opt, feats, labels, step=1)
+        loss, _ = train_step(model, opt, feats, labels, step=1)
         np.testing.assert_allclose(loss, np.mean(per_chunk), rtol=1e-12)
 
     def test_repeated_batch_descends(self):
@@ -192,7 +192,7 @@ class TestTrainStep:
         feats, labels = self._batch(rng, n=4)
         cfg = TrainConfig(optimizer="sgd_momentum", lr=1e-3, momentum=0.0)
         opt = Optimizer(model.parameters(), cfg)
-        losses = [train_step(model, opt, feats, labels, step=s) for s in range(1, 11)]
+        losses = [train_step(model, opt, feats, labels, step=s)[0] for s in range(1, 11)]
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-6
 
@@ -204,7 +204,7 @@ class TestTrainStep:
         opt = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
         loss = None
         for s in range(1, 201):
-            loss = train_step(model, opt, feats, labels, step=s)
+            loss, _ = train_step(model, opt, feats, labels, step=s)
             if loss < 0.01:
                 break
         assert loss < 0.01
@@ -278,11 +278,30 @@ class TestTrainLoop:
         assert len(lines) == len(report.step_losses)
         for i, line in enumerate(lines):
             rec = json.loads(line)
-            assert set(rec) == {"step", "loss", "lr", "epoch"}
+            assert set(rec) == {"step", "loss", "grad_norm", "clipped", "lr", "epoch"}
             assert rec["step"] == i + 1
             assert np.isfinite(rec["loss"])
+            assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
+            assert rec["clipped"] is (rec["grad_norm"] > 5.0)
             assert rec["lr"] == 1e-3
             assert rec["epoch"] in (0, 1)
+
+    def test_log_records_the_pre_clip_norm(self, tmp_path):
+        ds = self._dataset()
+        records = {}
+        for clip in (0.0, 1e-6):
+            log_path = tmp_path / f"log-{clip}.jsonl"
+            train(tiny_model(seed=3), ds, self._cfg(clip_norm=clip), log_path=log_path)
+            records[clip] = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert not any(rec["clipped"] for rec in records[0.0])
+        assert all(rec["clipped"] for rec in records[1e-6])
+        # the first step starts from the same parameters, so its norm is the same
+        assert records[0.0][0]["grad_norm"] == records[1e-6][0]["grad_norm"]
+        model = tiny_model(seed=3)
+        feats, labels = next(make_batches(ds, 10, 4, seed=[1, 0]))
+        opt = Optimizer(model.parameters(), TrainConfig(lr=0.0, clip_norm=0.0))
+        _, norm = train_step(model, opt, feats, labels, step=1)
+        assert records[0.0][0]["grad_norm"] == norm == opt.global_grad_norm()
 
     def test_checkpoints_every_epoch(self, tmp_path):
         ds = self._dataset()
