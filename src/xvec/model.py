@@ -31,10 +31,10 @@ ReLU mask; one splice buffer that every splicing block shares, and which
 the backward pass fills again for each block but the last; and the pooling
 work array. A plan owns a workspace sized to the longest utterance it has
 run: an array per layer, and one per width for the affine results its leaky
-ReLUs read. Each layer writes its result into a buffer of its workspace. A block's input gradient overwrites the block's input, which
-only its weight gradient still reads. What a call hands back (posteriors,
-embeddings, ForwardTrace fields) is a new array, never a view of a
-workspace.
+ReLUs read. Each layer writes its result into a buffer of its workspace. A
+block's input gradient overwrites the block's input, which only its weight
+gradient still reads. What a call hands back (posteriors, embeddings,
+ForwardTrace fields) is a new array, never a view of a workspace.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ def split_feature_bytes(split_cfg):
 
 
 def test_gen_data_holds_one_split_at_a_time(tmp_path):
-    split = {"num_speakers": 4, "utts_per_speaker": 5, "min_frames": 200, "max_frames": 300, "dim": 32}
+    split = {"num_speakers": 4, "utts_per_speaker": 5, "min_frames": 300, "max_frames": 400, "dim": 64}
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"synth": {"train": dict(split, seed=1), "eval": dict(split, seed=2)},
                                        "trials": {"enroll_per_speaker": 2, "seed": 3}}))
