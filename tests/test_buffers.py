@@ -154,8 +154,7 @@ def test_workspace_holds_only_what_the_backward_pass_reads(pooling):
     blocks = [(blk.act, blk.bn) for blk in model.frame_blocks]
     if pooling != "stats":
         blocks += [(act, bn) for _, act, bn in model.pool.net.blocks]
-    expected = {"spliced", "work"} | {(bn, "out") for _, bn in blocks} | {(bn, "x_hat") for _, bn in blocks}
-    expected |= {(act, "keep") for act, _ in blocks}
+    expected = {"spliced", "work"} | {key for act, bn in blocks for key in ((bn, "out"), (bn, "x_hat"), (act, "keep"))}
     widest = max(blk.affine.din for blk in model.frame_blocks if blk.splice.width_multiplier > 1)
     size = n * widest * 8 + n * cfg.value_dim * 8 + sum(n * bn.dim * (8 + 8 + 1) for _, bn in blocks)
     if pooling != "stats":
@@ -174,13 +173,8 @@ def test_gen_data_holds_one_split_at_a_time(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"synth": {"train": dict(split, seed=1), "eval": dict(split, seed=2)},
                                        "trials": {"enroll_per_speaker": 2, "seed": 3}}))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(["gen-data", "--config", str(config_path), "--out-dir", str(tmp_path / "corpus")]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    argv = ["gen-data", "--config", str(config_path), "--out-dir", str(tmp_path / "corpus")]
+    peak = peak_allocation(lambda: main(argv))
     train_cfg, eval_cfg = (data.SynthConfig(**split, seed=s) for s in (1, 2))
     assert peak < split_feature_bytes(train_cfg) + split_feature_bytes(eval_cfg)
 
