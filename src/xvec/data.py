@@ -73,7 +73,6 @@ class Utterance:
 class Dataset:
     utterances: list
     speakers: list  # sorted speaker names; index = dense label
-    split: str = "train"
 
     def __post_init__(self):
         self._label = {spk: i for i, spk in enumerate(self.speakers)}
@@ -132,7 +131,7 @@ def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Dataset:
             noise = rng.normal(0.0, cfg.sigma, size=(t, cfg.dim))
             feats = gate[:, None] * (cfg.scale * identity) + noise
             utterances.append(Utterance(f"{split}-{spk}-u{j:04d}", spk, feats, gate))
-    return Dataset(utterances, speakers, split)
+    return Dataset(utterances, speakers)
 
 
 # -- binary files: .xvf, .xve and .xvm --------------------------------------
@@ -335,7 +334,7 @@ def write_dataset(dataset: Dataset, out_dir) -> Path:
     return out / "manifest.tsv"
 
 
-def load_dataset(manifest_path, split: str = "train") -> Dataset:
+def load_dataset(manifest_path) -> Dataset:
     """Load a dataset from a manifest file or a directory containing one."""
     path = Path(manifest_path)
     if path.is_dir():
@@ -361,7 +360,7 @@ def load_dataset(manifest_path, split: str = "train") -> Dataset:
             raise DataError(f"{utt_id}: gate length {gate.shape[0]} != {feats.shape[0]} frames")
         utterances.append(Utterance(utt_id, speaker, feats, gate.astype(np.int8) if gate is not None else None))
     speakers = sorted({u.speaker for u in utterances})
-    return Dataset(utterances, speakers, split)
+    return Dataset(utterances, speakers)
 
 
 # -- batching ----------------------------------------------------------------

@@ -19,9 +19,10 @@ InferencePlan and pools it as a batch of one through the same pooling
 call. With frozen running statistics a batch norm is a per-column affine
 map, and splicing only gathers columns, so each batch norm that feeds
 another affine (the next frame block's, the compatibility net's) is folded
-into that affine's weights. The two batch norms that feed pooling,
-on the values and on the compatibility output, still run as batch norms:
-the variance floor and the softmax are not affine.
+into that affine's weights. A plan holds only these folded affines; the
+model's own splices, leaky ReLUs and the two batch norms that feed
+pooling, on the values and on the compatibility output, run around them
+(the variance floor and the softmax are not affine).
 
 Neither path allocates its frame-level arrays once warm. The model owns a
 workspace for forward_batch and backward_batch that keeps only what the
@@ -48,8 +49,8 @@ import numpy as np
 from .config import from_json
 from .data import _BinaryReader, _write_binary
 from .errors import ConfigError, DataError, FormatError
-from .nn import (Affine, BatchNorm, LeakyReLU, Parameter, Softmax, Splice, _block_backward, _block_forward,
-                 _Workspace, as_matrix)
+from .nn import (BN_EPSILON, Affine, BatchNorm, LeakyReLU, Parameter, Softmax, Splice, _block_backward,
+                 _block_forward, _Workspace, as_matrix)
 from .pooling import CompatibilityNet, MultiHeadPool, StatsPool
 
 POOLING_KINDS = ("stats", "attention", "multihead")
@@ -156,7 +157,7 @@ def _fold(bn: BatchNorm, affine: Affine) -> Affine:
     columns, so affine's input is h spliced times tile(s) plus tile(c), one
     copy per splice offset.
     """
-    s = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + bn.epsilon))
+    s = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + BN_EPSILON))
     c = bn.beta.value - bn.running_mean * s
     copies = affine.din // bn.dim
     w = affine.weight.value
@@ -166,14 +167,13 @@ def _fold(bn: BatchNorm, affine: Affine) -> Affine:
 
 @dataclass
 class InferencePlan:
-    """The inference layers of a Model with batch norm folded in, built by
-    Model.inference_plan from the parameters of that moment, and the
-    buffers its forwards reuse, sized to the longest utterance seen."""
+    """Model.inference_plan's folded affines, made from the parameters of
+    that moment, and the buffers its forwards reuse, sized to the longest
+    utterance seen. Model.forward runs them with the model's own splices,
+    leaky ReLUs and the two batch norms that feed pooling."""
 
-    frame: list  # (Splice, Affine, LeakyReLU) per frame block
-    values_bn: BatchNorm  # the last frame block's batch norm
-    compat: list = field(default_factory=list)  # (Affine, LeakyReLU) per compat block
-    compat_bn: BatchNorm | None = None  # the last compat block's batch norm
+    frame: list  # folded Affine per frame block
+    compat: list  # folded Affine per compat block; empty for stats pooling
     workspace: _Workspace = field(default_factory=_Workspace, repr=False)
 
 
@@ -278,17 +278,14 @@ class Model:
         the module docstring. The plan copies the weights, so it goes stale
         when a parameter or running statistic changes: build a new one."""
         blocks = self.frame_blocks
-        frame = [(blocks[0].splice, blocks[0].affine, blocks[0].act)]
-        for prev, block in zip(blocks, blocks[1:]):
-            frame.append((block.splice, _fold(prev.bn, block.affine), block.act))
-        if isinstance(self.pool, StatsPool):
-            return InferencePlan(frame, blocks[-1].bn)
+        frame = [blocks[0].affine] + [_fold(prev.bn, block.affine) for prev, block in zip(blocks, blocks[1:])]
         compat = []
-        bn = blocks[self.config.effective_key_layer - 1].bn
-        for affine, act, next_bn in self.pool.net.blocks:
-            compat.append((_fold(bn, affine), act))
-            bn = next_bn
-        return InferencePlan(frame, blocks[-1].bn, compat, bn)
+        if isinstance(self.pool, MultiHeadPool):
+            bn = blocks[self.config.effective_key_layer - 1].bn
+            for affine, _, next_bn in self.pool.net.blocks:
+                compat.append(_fold(bn, affine))
+                bn = next_bn
+        return InferencePlan(frame, compat)
 
     def forward(self, features: np.ndarray, train: bool = False,
                 plan: InferencePlan | None = None) -> ForwardTrace:
@@ -318,25 +315,26 @@ class Model:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
         ws = plan.workspace
         t = x.shape[0]
-        frame_acts = []
+        key_idx = self.config.effective_key_layer - 1
         h = x
-        for splice, affine, act in plan.frame:
+        for i, (block, affine) in enumerate(zip(self.frame_blocks, plan.frame)):
+            splice, act = block.splice, block.act
             h = splice.forward(h, out=None if affine.din == h.shape[1] else ws((splice, "out"), t, affine.din))
             h = act.forward(affine.forward(h, out=ws(("scratch", affine.dout), t, affine.dout)),
                             out=ws((act, "out"), t, affine.dout))
-            frame_acts.append(h)
-        values = plan.values_bn.forward(h, out=ws("values", t, h.shape[1]))
+            if i == key_idx:
+                keys = h  # its batch norm is folded into plan.compat[0]
+        values = self.frame_blocks[-1].bn.forward(h, out=ws("values", t, h.shape[1]))
         attention = None
         work = ws("work", t, values.shape[1])
         if isinstance(self.pool, StatsPool):
             pooled, _ = self.pool.pool(values[None], work)
         else:
-            # the key block's batch norm is folded into plan.compat[0]
-            c = frame_acts[self.config.effective_key_layer - 1]
-            for affine, act in plan.compat:
+            c = keys
+            for (_, act, _), affine in zip(self.pool.net.blocks, plan.compat):
                 c = act.forward(affine.forward(c, out=ws(("scratch", affine.dout), t, affine.dout)),
                                 out=ws((act, "out"), t, affine.dout))
-            c = plan.compat_bn.forward(c, out=c)
+            c = self.pool.net.blocks[-1][2].forward(c, out=c)  # the last compat block's batch norm
             pooled, (attention,), _ = self.pool.pool_from_compat(values[None], c[None], work)
         z = pooled
         preacts = []

@@ -136,10 +136,7 @@ class Affine:
 
 
 class LeakyReLU:
-    def __init__(self, slope: float = LEAKY_SLOPE):
-        if not 0.0 <= slope < 1.0:
-            raise ConfigError(f"leaky ReLU slope must be in [0, 1), got {slope}")
-        self.slope = slope
+    def __init__(self):
         self._keep = None
 
     def forward(self, x: np.ndarray, train: bool = False, out=None, keep=None) -> np.ndarray:
@@ -148,7 +145,7 @@ class LeakyReLU:
         # zeros included, because 0 <= slope < 1.
         if train:
             self._keep = np.greater_equal(x, 0.0, out=keep)
-        y = np.multiply(self.slope, x, out=out)
+        y = np.multiply(LEAKY_SLOPE, x, out=out)
         return np.maximum(x, y, out=y)
 
     def backward(self, grad_out: np.ndarray, out=None) -> np.ndarray:
@@ -158,7 +155,7 @@ class LeakyReLU:
         keep, self._keep = self._keep, None
         dx = np.empty(keep.shape) if out is None else out
         np.copyto(dx, keep)  # 1.0 where the input was kept, 0.0 elsewhere
-        np.maximum(dx, self.slope, out=dx)  # slope elsewhere
+        np.maximum(dx, LEAKY_SLOPE, out=dx)  # slope elsewhere
         dx *= grad_out
         return dx
 
@@ -171,21 +168,9 @@ class BatchNorm:
     the frozen running statistics, which makes it a per-column affine map.
     """
 
-    def __init__(
-        self,
-        gamma: Parameter,
-        beta: Parameter,
-        momentum: float = BN_MOMENTUM,
-        epsilon: float = BN_EPSILON,
-    ):
-        if not 0.0 < momentum < 1.0:
-            raise ConfigError(f"batch norm momentum must be in (0, 1), got {momentum}")
-        if epsilon <= 0.0:
-            raise ConfigError(f"batch norm epsilon must be positive, got {epsilon}")
+    def __init__(self, gamma: Parameter, beta: Parameter):
         self.gamma = gamma
         self.beta = beta
-        self.momentum = momentum
-        self.epsilon = epsilon
         dim = gamma.value.shape[0]
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
@@ -220,16 +205,16 @@ class BatchNorm:
             mean = x.mean(axis=0)
             x_hat = np.subtract(x, mean, out=x_hat)
             var = np.einsum("ij,ij->j", x_hat, x_hat) / x.shape[0]
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
+            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
             x_hat *= inv_std
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
             self._cache = (x_hat, inv_std)
             y = np.multiply(self.gamma.value, x_hat, out=out)
         else:
             y = np.subtract(x, self.running_mean, out=out)
             y *= self.gamma.value
-            y *= 1.0 / np.sqrt(self.running_var + self.epsilon)
+            y *= 1.0 / np.sqrt(self.running_var + BN_EPSILON)
         y += self.beta.value
         return y
 

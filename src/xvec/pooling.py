@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import Affine, BatchNorm, LeakyReLU, Parameter, _block_backward, _block_forward, softmax_rows
 
 # Floor added to the weighted variance before the square root: sqrt(0) has an
@@ -98,8 +97,6 @@ class CompatibilityNet:
     """Fully-connected key transform: affine + leaky ReLU + batch norm blocks."""
 
     def __init__(self, blocks):
-        if not blocks:
-            raise ConfigError("compatibility net needs at least one layer")
         self.blocks = blocks
 
     @classmethod
@@ -151,16 +148,11 @@ class MultiHeadPool:
 
     The compatibility net runs once on the full keys; its output, the query
     and the values are split into h pieces. With h=1 this is exactly single
-    head attention pooling.
+    head attention pooling. ModelConfig.validate checks that h divides d_v
+    and d_q.
     """
 
     def __init__(self, net: CompatibilityNet, query: Parameter, heads: int):
-        if heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {heads}")
-        if query.value.shape != (net.out_dim,):
-            raise ConfigError(
-                f"query length {query.value.shape[0]} does not match compatibility output {net.out_dim}"
-            )
         self.net = net
         self.query = query
         self.heads = heads
@@ -176,12 +168,7 @@ class MultiHeadPool:
         a trainer can run the compatibility net once over a whole batch.
         """
         h = self.heads
-        b, t, d_v = values.shape
-        d_q = self.net.out_dim
-        if d_v % h != 0:
-            raise ConfigError(f"heads={h} does not divide the value dimension {d_v}")
-        if d_q % h != 0:
-            raise ConfigError(f"heads={h} does not divide the query dimension {d_q}")
+        b, t, d_q = compat.shape
         c = compat.reshape(b, t, h, d_q // h).transpose(0, 2, 1, 3)  # (B, h, T, d_q/h)
         alpha = softmax_rows((c @ self.query.value.reshape(h, d_q // h, 1))[..., 0])
         pooled, ws_cache = _weighted_stats(values, alpha, work)

@@ -1,8 +1,8 @@
 """Shared test utilities: an independent central-difference gradient oracle,
-an exact-rational detection-metric oracle, a plain-NumPy single-head
-attention pooling reference, a plain-NumPy unfolded inference forward and a
-frame-by-frame gate sampler, plus the package's single-head pool over given
-logits that the pooling checks exercise.
+a bit-equality assertion, an exact-rational detection-metric oracle, a
+plain-NumPy single-head attention pooling reference, a plain-NumPy unfolded
+inference forward and a frame-by-frame gate sampler, plus the package's
+single-head pool over given logits that the pooling checks exercise.
 
 The oracles are deliberately separate from the package's own
 implementations so the two routes can vouch for each other.
@@ -50,6 +50,13 @@ def assert_grads_close(analytic, numeric, threshold=FD_THRESHOLD, atol=FD_ATOL, 
         rel = abs(a[i] - n[i]) / max(abs(a[i]), abs(n[i]), 1e-8)
         assert rel < threshold, (
             f"{what} element {i}: analytic {a[i]!r}, numeric {n[i]!r}, rel err {rel:.3e}")
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    """Equal dtype, shape and raw bytes: unlike array_equal, tells -0.0
+    from 0.0 and one NaN payload from another, for any dtype."""
+    assert a.dtype == b.dtype and a.shape == b.shape, f"{a.dtype}{a.shape} vs {b.dtype}{b.shape}"
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
 
 
 # -- single-head attention pooling -------------------------------------------

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import assert_same_bits
 
 from xvec import data, evaluation
 from xvec.cli import main
@@ -136,7 +137,7 @@ def test_reused_workspace_matches_fresh_arrays_step_by_step(pooling):
         reference = copy.deepcopy(model)
         reference._workspace = FreshArrays()
         for got, want in zip(batch_step(model, feats, labels), batch_step(reference, feats, labels), strict=True):
-            same_bits(got, want)
+            assert_same_bits(got, want)
         optimizer.step()
 
 
@@ -193,11 +194,6 @@ def test_gen_data_holds_one_split_at_a_time(tmp_path):
         assert (got / rel).read_bytes() == (want / rel).read_bytes(), rel
 
 
-def same_bits(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
-
-
 def affine_pair(rng, din, dout):
     w, b = rng.standard_normal((dout, din)), rng.standard_normal(dout)
     return [Affine(Parameter("w", w.copy()), Parameter("b", b.copy())) for _ in range(2)]
@@ -207,10 +203,10 @@ def test_affine_out_matches():
     rng = np.random.default_rng(4)
     x, g = rng.standard_normal((20, 6)), rng.standard_normal((20, 5))
     fresh, buffered = affine_pair(rng, 6, 5)
-    same_bits(fresh.forward(x, train=True), buffered.forward(x, train=True, out=np.empty((20, 5))))
-    same_bits(fresh.backward(g), buffered.backward(g, out=np.empty((20, 6))))
-    same_bits(fresh.weight.grad, buffered.weight.grad)
-    same_bits(fresh.bias.grad, buffered.bias.grad)
+    assert_same_bits(fresh.forward(x, train=True), buffered.forward(x, train=True, out=np.empty((20, 5))))
+    assert_same_bits(fresh.backward(g), buffered.backward(g, out=np.empty((20, 6))))
+    assert_same_bits(fresh.weight.grad, buffered.weight.grad)
+    assert_same_bits(fresh.bias.grad, buffered.bias.grad)
 
 
 def test_affine_out_may_be_the_cached_input():
@@ -220,8 +216,8 @@ def test_affine_out_may_be_the_cached_input():
     fresh.forward(x, train=True)
     x2 = x.copy()
     buffered.forward(x2, train=True)
-    same_bits(fresh.backward(g), buffered.backward(g, out=x2))
-    same_bits(fresh.weight.grad, buffered.weight.grad)
+    assert_same_bits(fresh.backward(g), buffered.backward(g, out=x2))
+    assert_same_bits(fresh.weight.grad, buffered.weight.grad)
 
 
 def test_affine_without_input_gradient():
@@ -232,8 +228,8 @@ def test_affine_without_input_gradient():
     skipped.forward(x, train=True)
     fresh.backward(g)
     assert skipped.backward(g, input_grad=False) is None
-    same_bits(fresh.weight.grad, skipped.weight.grad)
-    same_bits(fresh.bias.grad, skipped.bias.grad)
+    assert_same_bits(fresh.weight.grad, skipped.weight.grad)
+    assert_same_bits(fresh.bias.grad, skipped.bias.grad)
 
 
 def test_leaky_relu_out_matches():
@@ -241,9 +237,9 @@ def test_leaky_relu_out_matches():
     x, g = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
     x[0, :2] = [0.0, -0.0]
     fresh, buffered = LeakyReLU(), LeakyReLU()
-    same_bits(fresh.forward(x, train=True),
-              buffered.forward(x, train=True, out=np.empty((30, 4)), keep=np.empty((30, 4), bool)))
-    same_bits(fresh.backward(g), buffered.backward(g, out=np.empty((30, 4))))
+    assert_same_bits(fresh.forward(x, train=True),
+                     buffered.forward(x, train=True, out=np.empty((30, 4)), keep=np.empty((30, 4), bool)))
+    assert_same_bits(fresh.backward(g), buffered.backward(g, out=np.empty((30, 4))))
 
 
 @pytest.mark.parametrize("train", [True, False])
@@ -256,12 +252,13 @@ def test_batch_norm_out_matches(train):
         bn.running_var[...] = [0.5, 2.0, 1.0, 3.0]
     y = fresh.forward(x, train=train)
     inplace = x.copy()  # out may be the input
-    same_bits(y, buffered.forward(inplace, train=train, out=inplace, x_hat=np.empty((30, 4)) if train else None))
-    same_bits(fresh.running_mean, buffered.running_mean)
-    same_bits(fresh.running_var, buffered.running_var)
+    assert_same_bits(y, buffered.forward(inplace, train=train, out=inplace,
+                                         x_hat=np.empty((30, 4)) if train else None))
+    assert_same_bits(fresh.running_mean, buffered.running_mean)
+    assert_same_bits(fresh.running_var, buffered.running_var)
     if train:
-        same_bits(fresh.backward(g), buffered.backward(g))
-        same_bits(fresh.gamma.grad, buffered.gamma.grad)
+        assert_same_bits(fresh.backward(g), buffered.backward(g))
+        assert_same_bits(fresh.gamma.grad, buffered.gamma.grad)
 
 
 @pytest.mark.parametrize("offsets", [(-2, 0, 1), (0,)])
@@ -271,9 +268,10 @@ def test_splice_out_matches(offsets):
     k = len(offsets)
     g = rng.standard_normal((3, 7, 4 * k))
     fresh, buffered = Splice(offsets), Splice(offsets)
-    same_bits(fresh.forward(x[0]), buffered.forward(x[0], out=np.empty((7, 4 * k))))
-    same_bits(fresh.forward_batch(x, train=True), buffered.forward_batch(x, train=True, out=np.empty((3, 7, 4 * k))))
-    same_bits(fresh.backward_batch(g), buffered.backward_batch(g, out=np.full((3, 7, 4), np.nan)))
+    assert_same_bits(fresh.forward(x[0]), buffered.forward(x[0], out=np.empty((7, 4 * k))))
+    assert_same_bits(fresh.forward_batch(x, train=True),
+                     buffered.forward_batch(x, train=True, out=np.empty((3, 7, 4 * k))))
+    assert_same_bits(fresh.backward_batch(g), buffered.backward_batch(g, out=np.full((3, 7, 4), np.nan)))
 
 
 def test_stats_pool_work_matches():
@@ -282,8 +280,8 @@ def test_stats_pool_work_matches():
     pool = StatsPool()
     fresh, fresh_cache = pool.pool(values)
     buffered, cache = pool.pool(values, work=np.empty((27, 6)))
-    same_bits(fresh, buffered)
-    same_bits(pool.pool_backward(fresh_cache, g), pool.pool_backward(cache, g))
+    assert_same_bits(fresh, buffered)
+    assert_same_bits(pool.pool_backward(fresh_cache, g), pool.pool_backward(cache, g))
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -297,10 +295,10 @@ def test_multihead_pool_buffers_match(heads):
     fresh, buffered = pools
     pooled, alpha, cache = fresh.pool_from_compat(values, compat)
     pooled_b, alpha_b, cache_b = buffered.pool_from_compat(values, compat.copy(), work=np.empty((27, 6)))
-    same_bits(pooled, pooled_b)
-    same_bits(alpha, alpha_b)
+    assert_same_bits(pooled, pooled_b)
+    assert_same_bits(alpha, alpha_b)
     d_values, d_compat = fresh.backward_from_compat(cache, g)
     d_values_b, d_compat_b = buffered.backward_from_compat(cache_b, g, out=np.empty((3, 9, 4)))
-    same_bits(d_values, d_values_b)
-    same_bits(d_compat, d_compat_b)
-    same_bits(fresh.query.grad, buffered.query.grad)
+    assert_same_bits(d_values, d_values_b)
+    assert_same_bits(d_compat, d_compat_b)
+    assert_same_bits(fresh.query.grad, buffered.query.grad)

@@ -141,7 +141,6 @@ class TestGenSynthetic:
 
     def test_split_tag_in_ids(self):
         ds = gen_synthetic(small_config(), split="eval")
-        assert ds.split == "eval"
         assert all(u.utt_id.startswith("eval-") for u in ds.utterances)
         assert len({u.utt_id for u in ds.utterances}) == len(ds.utterances)
 
@@ -385,10 +384,10 @@ class TestDatasetType:
     def test_label_lookup(self):
         u = Utterance("u0", "spk-b", np.ones((12, 2)), None)
         v = Utterance("u1", "spk-a", np.ones((12, 2)), None)
-        ds = Dataset([u, v], ["spk-a", "spk-b"], "train")
+        ds = Dataset([u, v], ["spk-a", "spk-b"])
         assert ds.label(u) == 1 and ds.label(v) == 0
 
     def test_unknown_speaker_rejected(self):
         u = Utterance("u0", "spk-x", np.ones((12, 2)), None)
         with pytest.raises(DataError, match="spk-x"):
-            Dataset([u], ["spk-a"], "train")
+            Dataset([u], ["spk-a"])

@@ -45,8 +45,8 @@ def plan_activations(model, x):
     """Each frame block's leaky ReLU output in an inference forward, run
     through the plan's layers; the block's own batch norm is not applied."""
     acts, h = [], x
-    for splice, affine, act in model.inference_plan().frame:
-        h = act.forward(affine.forward(splice.forward(h)))
+    for block, affine in zip(model.frame_blocks, model.inference_plan().frame):
+        h = block.act.forward(affine.forward(block.splice.forward(h)))
         acts.append(h)
     return acts
 
@@ -130,6 +130,7 @@ class TestModelConfig:
             (dict(pooling="attention", compat=[]), "compat"),
             (dict(pooling="attention", heads=3), "heads"),
             (dict(pooling="multihead", key_layer=9), "key_layer"),
+            (dict(pooling="multihead", heads=0), "heads"),
             (dict(embedding_tap=5), "embedding_tap"),
             (dict(utterance_layers=[]), "utterance_layers"),
         ]
