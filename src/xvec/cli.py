@@ -97,22 +97,20 @@ def cmd_gen_data(args) -> int:
         trials_seed = args.seed + 2
 
     out = Path(args.out_dir)
-    train_set = data.gen_synthetic(train_cfg, split="train")
-    data.write_dataset(train_set, out / "train")
-    print(f"wrote {len(train_set.utterances)} utterances "
-          f"({train_set.num_speakers} speakers) to {out / 'train'}")
-    del train_set  # hold one split's features at a time
+    written = {}  # split -> its (utt_id, speaker) pairs
+    for split, split_cfg in (("train", train_cfg), ("eval", eval_cfg)):
+        if split_cfg is None:
+            continue
+        # utterances are written as they are drawn, so memory does not grow with the split
+        pairs = written[split] = data.write_dataset(data.gen_synthetic(split_cfg, split=split), out / split)
+        print(f"wrote {len(pairs)} utterances "
+              f"({len({spk for _, spk in pairs})} speakers) to {out / split}")
 
-    if eval_cfg is not None:
-        eval_set = data.gen_synthetic(eval_cfg, split="eval")
-        data.write_dataset(eval_set, out / "eval")
-        print(f"wrote {len(eval_set.utterances)} utterances "
-              f"({eval_set.num_speakers} speakers) to {out / 'eval'}")
-        if enroll_per_speaker > 0:
-            trials, enroll_map = evaluation.make_trials(eval_set, enroll_per_speaker, trials_seed)
-            evaluation.write_trials(out / "trials.tsv", trials)
-            evaluation.write_enroll_map(out / "enroll.tsv", enroll_map)
-            print(f"wrote {len(trials)} trials to {out / 'trials.tsv'}")
+    if enroll_per_speaker > 0:
+        trials, enroll_map = evaluation.make_trials(written["eval"], enroll_per_speaker, trials_seed)
+        evaluation.write_trials(out / "trials.tsv", trials)
+        evaluation.write_enroll_map(out / "enroll.tsv", enroll_map)
+        print(f"wrote {len(trials)} trials to {out / 'trials.tsv'}")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ log = logging.getLogger(__name__)
 FEATURE_MAGIC = b"XVF1"
 EMBEDDING_MAGIC = b"XVE1"
 MAX_FEATURE_FRAMES = 2**32 - 1  # the .xvf header stores the frame count as u32
+WRITE_AHEAD_BYTES = 1 << 20  # features write_dataset draws ahead of its writes; see _drawn_ahead
 
 
 @dataclass
@@ -87,6 +89,13 @@ class Dataset:
     def label(self, utt: Utterance) -> int:
         return self._label[utt.speaker]
 
+    @classmethod
+    def from_utterances(cls, utterances) -> "Dataset":
+        """The utterances of an iterable, in order, held in memory; the
+        speakers are their sorted names."""
+        utterances = list(utterances)
+        return cls(utterances, sorted({u.speaker for u in utterances}))
+
 
 def stationary_on_fraction(p_stay_on: float, p_stay_off: float) -> float:
     """Stationary probability of the gate's on state."""
@@ -116,22 +125,23 @@ def _sample_gate(rng: np.random.Generator, t: int, p_stay_on: float, p_stay_off:
     return value[last_set] ^ ((flips - flips[last_set]) & 1).astype(np.int8)
 
 
-def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Dataset:
-    """Sample a dataset: per speaker a Gaussian identity vector, per frame a
-    Markov gate deciding whether the identity is present under the noise."""
+def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Iterator[Utterance]:
+    """Yield a split's utterances one at a time, speaker by speaker: per
+    speaker a Gaussian identity vector, per frame a Markov gate deciding
+    whether the identity is present under the noise. The config is checked
+    when the first utterance is drawn. Dataset.from_utterances holds a split
+    in memory."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    utterances = []
-    speakers = [f"s{k:04d}" for k in range(cfg.num_speakers)]
-    for k, spk in enumerate(speakers):
+    for k in range(cfg.num_speakers):
+        spk = f"s{k:04d}"
         identity = rng.standard_normal(cfg.dim)
         for j in range(cfg.utts_per_speaker):
             t = int(rng.integers(cfg.min_frames, cfg.max_frames + 1))
             gate = _sample_gate(rng, t, cfg.p_stay_on, cfg.p_stay_off)
-            noise = rng.normal(0.0, cfg.sigma, size=(t, cfg.dim))
-            feats = gate[:, None] * (cfg.scale * identity) + noise
-            utterances.append(Utterance(f"{split}-{spk}-u{j:04d}", spk, feats, gate))
-    return Dataset(utterances, speakers)
+            feats = rng.normal(0.0, cfg.sigma, size=(t, cfg.dim))
+            feats += gate[:, None] * (cfg.scale * identity)  # the noise plus the gated identity
+            yield Utterance(f"{split}-{spk}-u{j:04d}", spk, feats, gate)
 
 
 # -- binary files: .xvf, .xve and .xvm --------------------------------------
@@ -313,25 +323,46 @@ def read_embeddings(path) -> dict:
 # -- dataset directories -----------------------------------------------------
 
 
-def write_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write features, the manifest and the gate sidecar under out_dir."""
+def _drawn_ahead(utterances):
+    """The utterances in order, drawn in blocks that hold WRITE_AHEAD_BYTES
+    of features or more, and dropped block by block. On a 2-vCPU Xeon,
+    drawing an utterance (many small NumPy calls) right after writing one (a
+    file creation) ran about a third slower than drawing a block in a row,
+    and gen-data 7-20% slower."""
+    block, size = [], 0
+    for utt in utterances:
+        block.append(utt)
+        size += utt.features.nbytes
+        if size >= WRITE_AHEAD_BYTES:
+            yield from block
+            block, size = [], 0
+    yield from block
+
+
+def write_dataset(utterances, out_dir) -> list:
+    """Write each utterance's features under out_dir, then the manifest and
+    the gate sidecar, so that a manifest names only files already written.
+    The features held at a time are one block of WRITE_AHEAD_BYTES or more
+    (see _drawn_ahead), whatever the number of utterances. A manifest and
+    gates left by an earlier write go first. Returns the (utt_id, speaker)
+    pairs written, in order."""
     out = Path(out_dir)
-    if not dataset.utterances:
-        raise DataError(f"{out / 'manifest.tsv'}: refusing to write a file with no rows")
-    feat_dir = out / "feats"
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for utt in dataset.utterances:
+    for name in ("manifest.tsv", "gates.tsv"):
+        (out / name).unlink(missing_ok=True)
+    manifest, gates = [], []
+    for utt in _drawn_ahead(utterances):
+        if not manifest:
+            (out / "feats").mkdir(parents=True, exist_ok=True)
         rel = f"feats/{utt.utt_id}.xvf"
         write_features(out / rel, utt.features)
         manifest.append((utt.utt_id, utt.speaker, rel))
+        if utt.gate is not None:
+            # "0" and "1" are bytes 48 and 49
+            gates.append((utt.utt_id, (np.asarray(utt.gate) + 48).astype(np.uint8).tobytes().decode()))
     _write_rows(out / "manifest.tsv", manifest)
-    # "0" and "1" are bytes 48 and 49
-    gates = [(u.utt_id, (np.asarray(u.gate) + 48).astype(np.uint8).tobytes().decode())
-             for u in dataset.utterances if u.gate is not None]
     if gates:
         _write_rows(out / "gates.tsv", gates)
-    return out / "manifest.tsv"
+    return [(utt_id, speaker) for utt_id, speaker, _ in manifest]
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -359,8 +390,7 @@ def load_dataset(manifest_path) -> Dataset:
         if gate is not None and gate.shape[0] != feats.shape[0]:
             raise DataError(f"{utt_id}: gate length {gate.shape[0]} != {feats.shape[0]} frames")
         utterances.append(Utterance(utt_id, speaker, feats, gate.astype(np.int8) if gate is not None else None))
-    speakers = sorted({u.speaker for u in utterances})
-    return Dataset(utterances, speakers)
+    return Dataset.from_utterances(utterances)
 
 
 # -- batching ----------------------------------------------------------------

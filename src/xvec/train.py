@@ -76,12 +76,20 @@ class Optimizer:
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
+        self.grad_squares = [0.0] * len(self.params)  # per parameter, as the last global_grad_norm summed them
 
     def global_grad_norm(self) -> float:
+        self.grad_squares = [float(np.sum(p.grad * p.grad)) for p in self.params]
         total = 0.0
-        for p in self.params:
-            total += float(np.sum(p.grad * p.grad))
+        for square in self.grad_squares:
+            total += square
         return float(np.sqrt(total))
+
+    def group_norms(self, groups: dict) -> dict:
+        """The gradient norm of each named list of parameters, from the
+        squares the last global_grad_norm summed; 0.0 for an empty list."""
+        square = {id(p): sq for p, sq in zip(self.params, self.grad_squares)}
+        return {name: float(np.sqrt(np.sum([square[id(p)] for p in params]))) for name, params in groups.items()}
 
     def step(self) -> float:
         """Apply one update; returns the pre-clip global gradient norm."""
@@ -136,7 +144,6 @@ def train_step(model: Model, optimizer: Optimizer, features: np.ndarray,
 class TrainReport:
     step_losses: list = field(default_factory=list)
     epoch_accuracies: list = field(default_factory=list)
-    checkpoint_paths: list = field(default_factory=list)
     wall_time_s: float = 0.0
 
     @property
@@ -168,6 +175,7 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
     t0 = time.perf_counter()
     report = TrainReport()
     optimizer = Optimizer(model.parameters(), cfg)
+    groups = model.parameter_groups()
     log_file = open(log_path, "w") if log_path is not None else None
     step = 0
     try:
@@ -178,17 +186,17 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
                 loss, norm = train_step(model, optimizer, feats, labels, step)
                 report.step_losses.append(loss)
                 if log_file is not None:
+                    group_norms = {f"grad_norm_{name}": v for name, v in optimizer.group_norms(groups).items()}
                     log_file.write(json.dumps(
-                        {"step": step, "loss": loss, "grad_norm": norm, "clipped": 0.0 < cfg.clip_norm < norm,
-                         "lr": cfg.lr, "epoch": epoch}) + "\n")
+                        {"step": step, "loss": loss, "grad_norm": norm, **group_norms,
+                         "clipped": 0.0 < cfg.clip_norm < norm, "lr": cfg.lr, "epoch": epoch}) + "\n")
+            model.release_workspace()  # the sweep's buffers do not stack on the step's
             acc = classification_accuracy(model, dataset)
             report.epoch_accuracies.append(acc)
             log.info("epoch %d: loss %.4f, train accuracy %.4f",
                      epoch, report.step_losses[-1], acc)
             if checkpoint_dir is not None:
-                path = Path(checkpoint_dir) / f"epoch-{epoch + 1:03d}.xvm"
-                save_model(model, path)
-                report.checkpoint_paths.append(str(path))
+                save_model(model, Path(checkpoint_dir) / f"epoch-{epoch + 1:03d}.xvm")
     finally:
         if log_file is not None:
             log_file.close()

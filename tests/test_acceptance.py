@@ -15,7 +15,7 @@ from helpers import (FD_ATOL, assert_grads_close, logit_pool, numeric_grad,
                      reference_attention_pool)
 
 from xvec.cli import main
-from xvec.data import SynthConfig, gen_synthetic
+from xvec.data import Dataset, SynthConfig, gen_synthetic
 from xvec.evaluation import (DCF08, DCF10, attention_trajectory, compute_eer,
                              compute_min_dcf, join_scores_with_trials,
                              make_trials, mean_gate_correlation, score_trials)
@@ -267,10 +267,10 @@ def toy_model_config(kind):
 
 @pytest.fixture(scope="module")
 def toy():
-    train_set = gen_synthetic(TOY_SYNTH_TRAIN, split="train")
-    eval_set = gen_synthetic(TOY_SYNTH_EVAL, split="eval")
-    trials, enroll_map = make_trials(eval_set, enroll_per_speaker=3,
-                                     seed=TOY_TRIALS_SEED)
+    train_set = Dataset.from_utterances(gen_synthetic(TOY_SYNTH_TRAIN, split="train"))
+    eval_set = Dataset.from_utterances(gen_synthetic(TOY_SYNTH_EVAL, split="eval"))
+    trials, enroll_map = make_trials([(u.utt_id, u.speaker) for u in eval_set.utterances],
+                                     enroll_per_speaker=3, seed=TOY_TRIALS_SEED)
     runs = {}
     for kind in ("stats", "attention", "multihead"):
         model = build_model(toy_model_config(kind), seed=TOY_OPT["seed"])

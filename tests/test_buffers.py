@@ -2,8 +2,9 @@
 plan forward allocate almost nothing; a reused workspace gives the same bits
 as fresh arrays and holds only what the backward pass reads; what a call
 hands back shares no memory with a later call; a layer given out= buffers
-computes the same bits as without them; and gen-data holds one split's
-features at a time."""
+computes the same bits as without them; a step after the workspace is
+released gives the same bits; and gen-data's memory does not grow with the
+corpus."""
 
 import copy
 import json
@@ -165,29 +166,53 @@ def test_workspace_holds_only_what_the_backward_pass_reads(pooling):
     assert sum(a.nbytes for a in arrays.values()) == size
 
 
-def split_feature_bytes(split_cfg):
-    return sum(u.features.nbytes for u in data.gen_synthetic(split_cfg).utterances)
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_a_step_after_the_workspace_release_gives_the_same_bits(pooling):
+    released, kept = (build_model(config(pooling), seed=6) for _ in range(2))
+    rng = np.random.default_rng(6)
+    batches = [(rng.standard_normal((5, 16, 4)), rng.integers(0, 3, size=5)) for _ in range(2)]
+    for model in (released, kept):
+        batch_step(model, *batches[0])
+    released.release_workspace()
+    assert not released._workspace._arrays
+    for got, want in zip(batch_step(released, *batches[1]), batch_step(kept, *batches[1]), strict=True):
+        assert_same_bits(got, want)
 
 
-def test_gen_data_holds_one_split_at_a_time(tmp_path):
-    split = {"num_speakers": 4, "utts_per_speaker": 5, "min_frames": 300, "max_frames": 400, "dim": 64}
-    config_path = tmp_path / "run.json"
+# One utterance length, so that every block gen-data draws ahead of its
+# writes holds as many utterances whatever the corpus size.
+SPLIT = {"num_speakers": 4, "min_frames": 400, "max_frames": 400, "dim": 64}
+
+
+def gen_data(out_dir, utts_per_speaker) -> int:
+    """Run gen-data on two splits of SPLIT into out_dir; returns its peak allocation."""
+    split = dict(SPLIT, utts_per_speaker=utts_per_speaker)
+    config_path = out_dir / "run.json"
+    out_dir.mkdir()
     config_path.write_text(json.dumps({"synth": {"train": dict(split, seed=1), "eval": dict(split, seed=2)},
                                        "trials": {"enroll_per_speaker": 2, "seed": 3}}))
-    argv = ["gen-data", "--config", str(config_path), "--out-dir", str(tmp_path / "corpus")]
-    peak = peak_allocation(lambda: main(argv))
-    train_cfg, eval_cfg = (data.SynthConfig(**split, seed=s) for s in (1, 2))
-    assert peak < split_feature_bytes(train_cfg) + split_feature_bytes(eval_cfg)
+    return peak_allocation(lambda: main(["gen-data", "--config", str(config_path), "--out-dir", str(out_dir / "corpus")]))
 
-    # the same corpus, each part written on its own
+
+def test_gen_data_memory_does_not_grow_with_the_corpus(tmp_path):
+    """Doubling the corpus moves gen-data's peak by less than one utterance's
+    features, and the corpus is what the writers write from splits held in
+    memory. The first call in a process also pays for one-time set-up, so one
+    runs first."""
+    gen_data(tmp_path / "warm", 5)
+    small, large = (gen_data(tmp_path / f"utts{n}", n) for n in (5, 10))
+    assert abs(large - small) < SPLIT["min_frames"] * SPLIT["dim"] * 8
+
+    train_cfg, eval_cfg = (data.SynthConfig(**SPLIT, utts_per_speaker=5, seed=s) for s in (1, 2))
     want = tmp_path / "want"
-    data.write_dataset(data.gen_synthetic(train_cfg, split="train"), want / "train")
-    eval_set = data.gen_synthetic(eval_cfg, split="eval")
-    data.write_dataset(eval_set, want / "eval")
-    trials, enroll_map = evaluation.make_trials(eval_set, 2, 3)
+    train_set = data.Dataset.from_utterances(data.gen_synthetic(train_cfg, split="train"))
+    data.write_dataset(train_set.utterances, want / "train")
+    eval_set = data.Dataset.from_utterances(data.gen_synthetic(eval_cfg, split="eval"))
+    data.write_dataset(eval_set.utterances, want / "eval")
+    trials, enroll_map = evaluation.make_trials([(u.utt_id, u.speaker) for u in eval_set.utterances], 2, 3)
     evaluation.write_trials(want / "trials.tsv", trials)
     evaluation.write_enroll_map(want / "enroll.tsv", enroll_map)
-    got = tmp_path / "corpus"
+    got = tmp_path / "utts5" / "corpus"
     files = sorted(p.relative_to(want) for p in want.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(got) for p in got.rglob("*") if p.is_file())
     for rel in files:

@@ -307,7 +307,8 @@ class TestPipeline:
         assert (run / "train_log.jsonl").exists()
         assert (run / "epoch-001.xvm").exists()
         first = json.loads((run / "train_log.jsonl").read_text().splitlines()[0])
-        assert set(first) == {"step", "loss", "grad_norm", "clipped", "lr", "epoch"}
+        assert set(first) == {"step", "loss", "grad_norm", "grad_norm_theta_f", "grad_norm_theta_k",
+                              "grad_norm_query", "grad_norm_theta_u", "clipped", "lr", "epoch"}
 
     def test_embeddings_cover_eval_set(self, pipeline):
         embeddings = data.read_embeddings(pipeline["emb"])

@@ -72,7 +72,7 @@ class TestStationaryFraction:
         cfg = small_config(num_speakers=2, utts_per_speaker=4,
                            min_frames=4000, max_frames=4100,
                            p_stay_on=0.85, p_stay_off=0.7)
-        ds = gen_synthetic(cfg)
+        ds = Dataset.from_utterances(gen_synthetic(cfg))
         on = np.concatenate([u.gate for u in ds.utterances]).mean()
         expect = stationary_on_fraction(0.85, 0.7)
         assert abs(on - expect) <= 0.05 * expect
@@ -80,7 +80,7 @@ class TestStationaryFraction:
 
 class TestGenSynthetic:
     def test_shapes_and_labels(self):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         assert len(ds.utterances) == 12
         assert ds.speakers == sorted({u.speaker for u in ds.utterances})
         assert len(ds.speakers) == 4
@@ -92,21 +92,21 @@ class TestGenSynthetic:
             assert 0 <= ds.label(u) < 4
 
     def test_deterministic(self):
-        a = gen_synthetic(small_config())
-        b = gen_synthetic(small_config())
+        a = Dataset.from_utterances(gen_synthetic(small_config()))
+        b = Dataset.from_utterances(gen_synthetic(small_config()))
         assert [u.utt_id for u in a.utterances] == [u.utt_id for u in b.utterances]
         for ua, ub in zip(a.utterances, b.utterances):
             np.testing.assert_array_equal(ua.features, ub.features)
             np.testing.assert_array_equal(ua.gate, ub.gate)
 
     def test_seed_changes_data(self):
-        a = gen_synthetic(small_config())
-        b = gen_synthetic(small_config(seed=124))
+        a = Dataset.from_utterances(gen_synthetic(small_config()))
+        b = Dataset.from_utterances(gen_synthetic(small_config(seed=124)))
         assert not np.array_equal(a.utterances[0].features, b.utterances[0].features)
 
     def test_noiseless_limit(self):
         cfg = small_config(sigma=1e-12, scale=1.0, num_speakers=2, utts_per_speaker=1)
-        ds = gen_synthetic(cfg)
+        ds = Dataset.from_utterances(gen_synthetic(cfg))
         # recover each speaker vector from the on-frames, then check both regimes
         for u in ds.utterances:
             on = u.features[u.gate == 1]
@@ -140,7 +140,7 @@ class TestGenSynthetic:
             assert (tmp_path / "fast" / rel).read_bytes() == (tmp_path / "loop" / rel).read_bytes(), rel
 
     def test_split_tag_in_ids(self):
-        ds = gen_synthetic(small_config(), split="eval")
+        ds = Dataset.from_utterances(gen_synthetic(small_config(), split="eval"))
         assert all(u.utt_id.startswith("eval-") for u in ds.utterances)
         assert len({u.utt_id for u in ds.utterances}) == len(ds.utterances)
 
@@ -231,9 +231,9 @@ class TestEmbeddingFiles:
 
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         root = tmp_path / "out"
-        write_dataset(ds, root)
+        write_dataset(ds.utterances, root)
         assert (root / "manifest.tsv").exists()
         assert (root / "gates.tsv").exists()
         back = load_dataset(root)
@@ -247,17 +247,15 @@ class TestDatasetFiles:
             np.testing.assert_array_equal(ub.gate, ua.gate)
 
     def test_load_without_gates(self, tmp_path):
-        ds = gen_synthetic(small_config())
         root = tmp_path / "out"
-        write_dataset(ds, root)
+        write_dataset(gen_synthetic(small_config()), root)
         (root / "gates.tsv").unlink()
         back = load_dataset(root)
         assert all(u.gate is None for u in back.utterances)
 
     def test_gate_length_mismatch(self, tmp_path):
-        ds = gen_synthetic(small_config())
         root = tmp_path / "out"
-        write_dataset(ds, root)
+        write_dataset(gen_synthetic(small_config()), root)
         lines = (root / "gates.tsv").read_text().splitlines()
         utt, gate = lines[0].split("\t")
         lines[0] = f"{utt}\t{gate[:-1]}"
@@ -266,15 +264,32 @@ class TestDatasetFiles:
             load_dataset(root)
 
     def test_gate_must_be_binary(self, tmp_path):
-        ds = gen_synthetic(small_config())
         root = tmp_path / "out"
-        write_dataset(ds, root)
+        write_dataset(gen_synthetic(small_config()), root)
         lines = (root / "gates.tsv").read_text().splitlines()
         utt, gate = lines[0].split("\t")
         lines[0] = f"{utt}\t2{gate[1:]}"
         (root / "gates.tsv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError):
             load_dataset(root)
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path):
+        """Features are written as the utterances arrive and the manifest
+        last, so a write that fails partway leaves no manifest naming files
+        it did not write, not even one an earlier write left."""
+        root = tmp_path / "out"
+        write_dataset(gen_synthetic(small_config()), root)
+
+        def fifth_is_bad():
+            for k, utt in enumerate(gen_synthetic(small_config(seed=5), split="eval")):
+                if k == 4:
+                    utt.features[0, 0] = np.nan
+                yield utt
+
+        with pytest.raises(DataError, match="non-finite"):
+            write_dataset(fifth_is_bad(), root)
+        assert not (root / "manifest.tsv").exists() and not (root / "gates.tsv").exists()
+        assert len(list((root / "feats").glob("eval-*.xvf"))) == 4
 
     def test_empty_manifest(self, tmp_path):
         root = tmp_path / "out"
@@ -340,7 +355,7 @@ class TestChunking:
 
 class TestBatching:
     def test_epoch_covers_each_utterance_once(self):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         batches = list(make_batches(ds, chunk_len=15, batch_size=5, seed=0))
         counts = [len(labels) for _, labels in batches]
         assert counts == [5, 5, 2]
@@ -349,14 +364,14 @@ class TestBatching:
         np.testing.assert_array_equal(np.sort(labels), expected)
 
     def test_shapes(self):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         chunks, labels = next(iter(make_batches(ds, chunk_len=15, batch_size=4, seed=1)))
         assert len(chunks) == 4 and labels.shape == (4,)
         for c in chunks:
             assert c.shape == (15, 5)
 
     def test_deterministic(self):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         a = list(make_batches(ds, chunk_len=10, batch_size=3, seed=7))
         b = list(make_batches(ds, chunk_len=10, batch_size=3, seed=7))
         for (ca, la), (cb, lb) in zip(a, b):
@@ -365,13 +380,13 @@ class TestBatching:
                 np.testing.assert_array_equal(xa, xb)
 
     def test_seed_shuffles(self):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         a = next(iter(make_batches(ds, chunk_len=10, batch_size=12, seed=0)))[1]
         b = next(iter(make_batches(ds, chunk_len=10, batch_size=12, seed=1)))[1]
         assert not np.array_equal(a, b)
 
     def test_oversized_chunk_pads_and_warns(self, caplog):
-        ds = gen_synthetic(small_config())
+        ds = Dataset.from_utterances(gen_synthetic(small_config()))
         with caplog.at_level("WARNING"):
             batches = list(make_batches(ds, chunk_len=40, batch_size=4, seed=0))
         assert any("40" in rec.message for rec in caplog.records)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from helpers import oracle_eer, oracle_min_dcf, random_score_set
 
-from xvec.data import SynthConfig, gen_synthetic
+from xvec.data import Dataset, SynthConfig, gen_synthetic
 from xvec.errors import ConfigError, DataError, FormatError
 from xvec.evaluation import (
     DCF08,
@@ -264,15 +264,15 @@ class TestGateCorrelation:
             assert abs(gate_correlation(weights, gate) - expected) < 1e-12
 
     def test_mean_over_dataset(self):
-        ds = gen_synthetic(SynthConfig(num_speakers=2, utts_per_speaker=2,
-                                       min_frames=12, max_frames=16, dim=3, seed=0))
+        ds = Dataset.from_utterances(gen_synthetic(SynthConfig(num_speakers=2, utts_per_speaker=2,
+                                                               min_frames=12, max_frames=16, dim=3, seed=0)))
         model = attention_model("multihead", heads=2)
         value = mean_gate_correlation(model, ds)
         assert -1.0 <= value <= 1.0
 
     def test_requires_gates(self):
-        ds = gen_synthetic(SynthConfig(num_speakers=2, utts_per_speaker=2,
-                                       min_frames=12, max_frames=16, dim=3, seed=0))
+        ds = Dataset.from_utterances(gen_synthetic(SynthConfig(num_speakers=2, utts_per_speaker=2,
+                                                               min_frames=12, max_frames=16, dim=3, seed=0)))
         for utt in ds.utterances:
             utt.gate = None
         with pytest.raises(DataError, match="gate"):
@@ -280,13 +280,13 @@ class TestGateCorrelation:
 
 
 class TestMakeTrials:
-    def _dataset(self, utts=4):
-        return gen_synthetic(SynthConfig(num_speakers=3, utts_per_speaker=utts,
-                                         min_frames=10, max_frames=12, dim=2, seed=1))
+    def _utterances(self, utts=4):
+        """(utt_id, speaker) pairs, as write_dataset returns them."""
+        cfg = SynthConfig(num_speakers=3, utts_per_speaker=utts, min_frames=10, max_frames=12, dim=2, seed=1)
+        return [(u.utt_id, u.speaker) for u in gen_synthetic(cfg)]
 
     def test_grid_counts(self):
-        ds = self._dataset()
-        trials, enroll_map = make_trials(ds, enroll_per_speaker=1, seed=0)
+        trials, enroll_map = make_trials(self._utterances(), enroll_per_speaker=1, seed=0)
         n_test = 3 * 3
         assert len(trials) == 3 * n_test
         assert sum(t.target for t in trials) == n_test
@@ -294,36 +294,35 @@ class TestMakeTrials:
         assert all(len(v) == 1 for v in enroll_map.values())
 
     def test_enroll_and_test_disjoint(self):
-        ds = self._dataset()
-        trials, enroll_map = make_trials(ds, enroll_per_speaker=2, seed=0)
-        enrolled = {u for utts in enroll_map.values() for u in utts}
+        utts = self._utterances()
+        trials, enroll_map = make_trials(utts, enroll_per_speaker=2, seed=0)
+        enrolled = {u for ids in enroll_map.values() for u in ids}
         tested = {t.test for t in trials}
         assert not enrolled & tested
-        assert enrolled | tested == {u.utt_id for u in ds.utterances}
+        assert enrolled | tested == {utt_id for utt_id, _ in utts}
 
     def test_labels_follow_speakers(self):
-        ds = self._dataset()
-        trials, _ = make_trials(ds, enroll_per_speaker=1, seed=0)
-        speaker_of = {u.utt_id: u.speaker for u in ds.utterances}
+        utts = self._utterances()
+        trials, _ = make_trials(utts, enroll_per_speaker=1, seed=0)
+        speaker_of = dict(utts)
         for t in trials:
             assert t.target == (speaker_of[t.test] == t.enroll)
 
     def test_deterministic_and_seed_sensitive(self):
-        ds = self._dataset(utts=8)
-        t1, m1 = make_trials(ds, enroll_per_speaker=2, seed=5)
-        t2, m2 = make_trials(ds, enroll_per_speaker=2, seed=5)
+        utts = self._utterances(utts=8)
+        t1, m1 = make_trials(utts, enroll_per_speaker=2, seed=5)
+        t2, m2 = make_trials(utts, enroll_per_speaker=2, seed=5)
         assert t1 == t2 and m1 == m2
-        _, m3 = make_trials(ds, enroll_per_speaker=2, seed=6)
+        _, m3 = make_trials(utts, enroll_per_speaker=2, seed=6)
         assert m1 != m3
 
     def test_too_few_utterances(self):
-        ds = self._dataset(utts=2)
         with pytest.raises(DataError, match="s0000"):
-            make_trials(ds, enroll_per_speaker=2, seed=0)
+            make_trials(self._utterances(utts=2), enroll_per_speaker=2, seed=0)
 
     def test_enroll_count_validation(self):
         with pytest.raises(ConfigError, match="enroll_per_speaker"):
-            make_trials(self._dataset(), enroll_per_speaker=0, seed=0)
+            make_trials(self._utterances(), enroll_per_speaker=0, seed=0)
 
 
 class TestFileFormats:

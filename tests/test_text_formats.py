@@ -80,7 +80,7 @@ def datasets(draw):
 @given(dataset=datasets())
 def test_manifest_and_gates_round_trip(ending, dataset):
     with tempfile.TemporaryDirectory() as root:
-        write_dataset(dataset, root)
+        write_dataset(dataset.utterances, root)
         for name in ("manifest.tsv", "gates.tsv"):
             if (Path(root) / name).exists():
                 with_ending(Path(root) / name, ending)
@@ -159,8 +159,8 @@ WRITERS = {
     "trials": lambda path, ids: write_trials(path, [Trial(ids[0], i, True) for i in ids]),
     "enroll": lambda path, ids: write_enroll_map(path, {ids[0]: list(dict.fromkeys(ids))}),
     "scores": lambda path, ids: write_scores(path, [(Trial(ids[0], i), 0.5) for i in ids]),
-    "manifest": lambda path, ids: write_dataset(Dataset([Utterance(f"u{k}", i, np.zeros((1, 1)))
-                                                         for k, i in enumerate(ids)], sorted(set(ids))), path.parent),
+    "manifest": lambda path, ids: write_dataset((Utterance(f"u{k}", i, np.zeros((1, 1))) for k, i in enumerate(ids)),
+                                                path.parent),
     "embeddings": lambda path, ids: write_embeddings(path, {i: [0.5] for i in ids}),
 }
 
@@ -184,7 +184,7 @@ def test_writer_refuses_a_lone_surrogate(fmt, tmp_path, data, ids, bad):
     (lambda path: write_trials(path, []), "trials.tsv"),
     (lambda path: write_enroll_map(path, {}), "enroll.tsv"),
     (lambda path: write_scores(path, []), "scores.tsv"),
-    (lambda path: write_dataset(Dataset([], []), path.parent), "manifest.tsv"),
+    (lambda path: write_dataset([], path.parent), "manifest.tsv"),
 ], ids=["trials", "enroll", "scores", "manifest"])
 def test_writer_refuses_no_rows(tmp_path, write, name):
     path = tmp_path / "out" / name

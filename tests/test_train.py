@@ -1,4 +1,6 @@
+import importlib
 import json
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -19,6 +21,8 @@ from xvec.train import (
     train,
     train_step,
 )
+
+train_module = importlib.import_module("xvec.train")  # the name xvec.train is the train() function
 
 
 def tiny_model(pooling="stats", num_speakers=3, seed=0, input_dim=4):
@@ -233,7 +237,7 @@ class TestTrainLoop:
     def _dataset(self, num_speakers=3, seed=5):
         cfg = SynthConfig(num_speakers=num_speakers, utts_per_speaker=2,
                           min_frames=12, max_frames=16, dim=4, seed=seed)
-        return gen_synthetic(cfg)
+        return Dataset.from_utterances(gen_synthetic(cfg))
 
     def _cfg(self, **overrides):
         kwargs = dict(lr=1e-3, batch_size=4, chunk_len=10, epochs=2, seed=1)
@@ -272,19 +276,24 @@ class TestTrainLoop:
 
     def test_log_schema(self, tmp_path):
         ds = self._dataset()
-        log_path = tmp_path / "log.jsonl"
-        report = train(tiny_model(), ds, self._cfg(), log_path=log_path)
-        lines = log_path.read_text().splitlines()
-        assert len(lines) == len(report.step_losses)
-        for i, line in enumerate(lines):
-            rec = json.loads(line)
-            assert set(rec) == {"step", "loss", "grad_norm", "clipped", "lr", "epoch"}
-            assert rec["step"] == i + 1
-            assert np.isfinite(rec["loss"])
-            assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
-            assert rec["clipped"] is (rec["grad_norm"] > 5.0)
-            assert rec["lr"] == 1e-3
-            assert rec["epoch"] in (0, 1)
+        groups = [f"grad_norm_{g}" for g in ("theta_f", "theta_k", "query", "theta_u")]
+        for pooling in ("stats", "multihead"):
+            log_path = tmp_path / f"log-{pooling}.jsonl"
+            report = train(tiny_model(pooling), ds, self._cfg(), log_path=log_path)
+            lines = log_path.read_text().splitlines()
+            assert len(lines) == len(report.step_losses)
+            for i, line in enumerate(lines):
+                rec = json.loads(line)
+                assert set(rec) == {"step", "loss", "grad_norm", *groups, "clipped", "lr", "epoch"}
+                assert rec["step"] == i + 1
+                assert np.isfinite(rec["loss"])
+                assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
+                # the group norms split the global one: their squares sum to its square
+                np.testing.assert_allclose(np.hypot.reduce([rec[g] for g in groups]), rec["grad_norm"], rtol=1e-12)
+                assert (rec["grad_norm_theta_k"] == rec["grad_norm_query"] == 0.0) is (pooling == "stats")
+                assert rec["clipped"] is (rec["grad_norm"] > 5.0)
+                assert rec["lr"] == 1e-3
+                assert rec["epoch"] in (0, 1)
 
     def test_log_records_the_pre_clip_norm(self, tmp_path):
         ds = self._dataset()
@@ -302,15 +311,36 @@ class TestTrainLoop:
         opt = Optimizer(model.parameters(), TrainConfig(lr=0.0, clip_norm=0.0))
         _, norm = train_step(model, opt, feats, labels, step=1)
         assert records[0.0][0]["grad_norm"] == norm == opt.global_grad_norm()
+        group_norms = {f"grad_norm_{g}": v for g, v in opt.group_norms(model.parameter_groups()).items()}
+        assert group_norms == {k: v for k, v in records[0.0][0].items() if k.startswith("grad_norm_")}
 
     def test_checkpoints_every_epoch(self, tmp_path):
         ds = self._dataset()
-        report = train(tiny_model(), ds, self._cfg(), checkpoint_dir=tmp_path)
+        train(tiny_model(), ds, self._cfg(), checkpoint_dir=tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["epoch-001.xvm", "epoch-002.xvm"]
-        assert report.checkpoint_paths == [str(tmp_path / n) for n in names]
         final = load_model(tmp_path / "epoch-002.xvm")
         assert final.config.num_speakers == 3
+
+    def test_sweep_runs_with_the_step_workspace_freed(self, monkeypatch):
+        """train() drops the step workspace before each accuracy sweep, and
+        nothing else keeps the workspace's memory alive through the sweep."""
+        model = tiny_model("multihead")
+        buffers, freed = [], []
+
+        def step(*args):
+            result = train_step(*args)
+            buffers[:] = [weakref.ref(a.base) for a in model._workspace._arrays.values()]
+            return result
+
+        def sweep(*args):
+            freed.append(bool(buffers) and all(ref() is None for ref in buffers))
+            return classification_accuracy(*args)
+
+        monkeypatch.setattr(train_module, "train_step", step)
+        monkeypatch.setattr(train_module, "classification_accuracy", sweep)
+        train(model, self._dataset(), self._cfg())
+        assert freed == [True, True]
 
     def test_report_bookkeeping(self):
         ds = self._dataset()
