@@ -24,7 +24,8 @@ model's own splices, leaky ReLUs and the two batch norms that feed
 pooling, on the values and on the compatibility output, run around them
 (the variance floor and the softmax are not affine).
 
-Neither path allocates its frame-level arrays once warm. The model owns a
+Neither path allocates its frame-level arrays once warm, apart from the
+float64 copy Model.forward makes of float32 features. The model owns a
 workspace for forward_batch and backward_batch that keeps only what the
 backward pass reads: per block its output, its normalized batch (which
 holds the affine result until batch norm writes it there) and its leaky
@@ -126,7 +127,7 @@ class ModelConfig:
         if self.pooling != "stats":
             if not 0 <= self.key_layer <= self.num_frame_layers:
                 raise ConfigError(
-                    f"key_layer: must be in [1, {self.num_frame_layers}], got {self.key_layer}"
+                    f"key_layer: must be in [0, {self.num_frame_layers}], 0 = the last layer, got {self.key_layer}"
                 )
             if not self.compat or any(w < 1 for w in self.compat):
                 raise ConfigError("compat: attention pooling needs one or more positive widths")
@@ -190,9 +191,6 @@ class _FrameBlock:
         self.act = act
         self.bn = bn
 
-    def parameters(self) -> list[Parameter]:
-        return self.affine.parameters() + self.bn.parameters()
-
 
 class Model:
     """x-vector network instance holding all trainable state."""
@@ -234,7 +232,7 @@ class Model:
     def parameter_groups(self) -> dict:
         groups = {"theta_f": [], "theta_k": [], "query": [], "theta_u": []}
         for block in self.frame_blocks:
-            groups["theta_f"].extend(block.parameters())
+            groups["theta_f"].extend(block.affine.parameters() + block.bn.parameters())
         if isinstance(self.pool, MultiHeadPool):
             groups["theta_k"].extend(self.pool.net.parameters())
             groups["query"].append(self.pool.query)
@@ -310,28 +308,22 @@ class Model:
         batch norm uses the chunk's own frame statistics and updates the
         running ones.
         """
-        if not train and plan is None:
-            plan = self.inference_plan()
-        x = np.asarray(features)
-        if not train and x.ndim == 2 and x.dtype != np.float64:
-            # widen float32 features into the plan's buffer, not a new array
-            wide = plan.workspace("input", *x.shape)
-            wide[...] = x
-            x = wide
-        x = as_matrix(x)
+        x = as_matrix(features)
         if x.shape[1] != self.config.input_dim:
             raise DataError(
                 f"features have {x.shape[1]} columns, model expects {self.config.input_dim}"
             )
         if train:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
+        if plan is None:
+            plan = self.inference_plan()
         ws = plan.workspace
         t = x.shape[0]
         key_idx = self.config.effective_key_layer - 1
         h = x
         for i, (block, affine) in enumerate(zip(self.frame_blocks, plan.frame)):
             splice, act = block.splice, block.act
-            h = splice.forward(h, out=None if affine.din == h.shape[1] else ws((splice, "out"), t, affine.din))
+            h = splice.forward(h, out=ws((splice, "out"), t, affine.din) if splice.width_multiplier > 1 else None)
             h = act.forward(affine.forward(h, out=ws(("scratch", affine.dout), t, affine.dout)),
                             out=ws((act, "out"), t, affine.dout))
             if i == key_idx:
@@ -389,7 +381,7 @@ class Model:
             out = None
             if block.splice.width_multiplier > 1:
                 out = ws("spliced", b * t, widest).reshape(-1)[: b * t * cols].reshape(b, t, cols)
-            spliced = block.splice.forward_batch(h, train, out).reshape(b * t, cols)
+            spliced = block.splice.forward_batch(h, out).reshape(b * t, cols)
             frames.append((h, out, spliced))
             flat = _block_forward(block.affine, block.act, block.bn, spliced, train, ws)
             h = flat.reshape(b, t, flat.shape[1])

@@ -3,6 +3,8 @@
 Everything operates on float64 matrices whose rows index time and whose
 columns index features. Layers cache the activations they need for the
 backward pass only when ``train=True``; inference-mode forwards are pure.
+The splice caches nothing: its backward reads the shape it needs off the
+gradient.
 
 The forwards and backwards of the frame layers (affine, leaky ReLU, batch
 norm, splice) take an optional ``out=`` array for their result, and the
@@ -250,7 +252,6 @@ class Splice:
         if 0 not in offsets:
             raise ConfigError(f"splice offsets must contain 0, got {offsets}")
         self.offsets = offsets
-        self._batch_cache = None
 
     @property
     def width_multiplier(self) -> int:
@@ -283,21 +284,18 @@ class Splice:
         t, d = x.shape
         return self._splice(x[None], None if out is None else out[None]).reshape(t, len(self.offsets) * d)
 
-    def forward_batch(self, x: np.ndarray, train: bool = False, out=None) -> np.ndarray:
+    def forward_batch(self, x: np.ndarray, out=None) -> np.ndarray:
         """Splice a (B, T, d) stack of equal-length chunks into a (B, T, K*d)
         result, each clamped at its own edges so no frame leaks across chunk
         boundaries."""
-        if train:
-            self._batch_cache = x.shape
         return self._splice(x, out)
 
     def backward_batch(self, grad_out: np.ndarray, out=None) -> np.ndarray:
         """(B, T, K*d) output gradient -> (B, T, d) input gradient."""
-        if self._batch_cache is None:
-            raise RuntimeError("splice backward called before a train-mode forward")
-        (b, t, d), self._batch_cache = self._batch_cache, None
         if self.offsets == (0,):
             return grad_out
+        b, t, kd = grad_out.shape
+        d = kd // len(self.offsets)
         if out is None:
             dx = np.zeros((b, t, d))
         else:
@@ -325,8 +323,8 @@ def _block_forward(affine: Affine, act: LeakyReLU, bn: BatchNorm, x: np.ndarray,
     n, w = x.shape[0], affine.dout
     x_hat = ws((bn, "x_hat"), n, w)
     y = act.forward(affine.forward(x, train, out=x_hat), train, out=ws((bn, "out"), n, w),
-                    keep=ws((act, "keep"), n, w, bool) if train else None)
-    return bn.forward(y, train, out=y, x_hat=x_hat if train else None)
+                    keep=ws((act, "keep"), n, w, bool))
+    return bn.forward(y, train, out=y, x_hat=x_hat)
 
 
 def _block_backward(affine: Affine, act: LeakyReLU, bn: BatchNorm, grad_out: np.ndarray,

@@ -157,9 +157,6 @@ class MultiHeadPool:
         self.query = query
         self.heads = heads
 
-    def parameters(self) -> list[Parameter]:
-        return self.net.parameters() + [self.query]
-
     def pool_from_compat(self, values: np.ndarray, compat: np.ndarray, work=None):
         """Head-split pooling of (B, T, d_v) values against (B, T, d_q)
         precomputed compatibility outputs.

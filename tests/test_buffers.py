@@ -82,6 +82,19 @@ def test_plan_forward_of_a_shorter_utterance_allocates_within_budget(pooling):
 
 
 @pytest.mark.parametrize("pooling", POOLINGS)
+def test_float32_features_give_the_bits_of_their_float64_widening(pooling):
+    model = build_model(config(pooling), seed=4)
+    plan = model.inference_plan()
+    rng = np.random.default_rng(4)
+    model.forward(rng.standard_normal((60, 4)), plan=plan)  # a shared plan has run a longer utterance
+    narrow = rng.standard_normal((40, 4)).astype(np.float32)
+    for forward in (model.forward, lambda x: model.forward(x, plan=plan)):
+        wide = forward(narrow.astype(np.float64))
+        for a, b in zip(arrays(forward(narrow)), arrays(wide), strict=True):
+            assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
 def test_posteriors_of_two_batches_share_no_memory(pooling):
     model = build_model(config(pooling), seed=2)
     rng = np.random.default_rng(2)
@@ -294,8 +307,7 @@ def test_splice_out_matches(offsets):
     g = rng.standard_normal((3, 7, 4 * k))
     fresh, buffered = Splice(offsets), Splice(offsets)
     assert_same_bits(fresh.forward(x[0]), buffered.forward(x[0], out=np.empty((7, 4 * k))))
-    assert_same_bits(fresh.forward_batch(x, train=True),
-                     buffered.forward_batch(x, train=True, out=np.empty((3, 7, 4 * k))))
+    assert_same_bits(fresh.forward_batch(x), buffered.forward_batch(x, out=np.empty((3, 7, 4 * k))))
     assert_same_bits(fresh.backward_batch(g), buffered.backward_batch(g, out=np.full((3, 7, 4), np.nan)))
 
 

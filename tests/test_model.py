@@ -122,6 +122,11 @@ class TestModelConfig:
         assert tiny_config(key_layer=0).effective_key_layer == 3
         assert tiny_config(key_layer=2).effective_key_layer == 2
 
+    @pytest.mark.parametrize("key_layer", [-1, 4])
+    def test_key_layer_error_gives_the_range(self, key_layer):
+        with pytest.raises(ConfigError, match=rf"key_layer: must be in \[0, 3\], 0 = the last layer, got {key_layer}$"):
+            tiny_config("attention", key_layer=key_layer).validate()
+
     def test_validation_names_fields(self):
         cases = [
             (dict(input_dim=0), "input_dim"),

@@ -191,20 +191,24 @@ class TestSplice:
         rng = np.random.default_rng(3)
         sp = Splice((-2, 0, 1))
         x3 = rng.standard_normal((4, 7, 3))
-        out = sp.forward_batch(x3, train=True)
+        out = sp.forward_batch(x3)
         for i in range(4):
             np.testing.assert_array_equal(out[i], sp.forward(x3[i]))
         g3 = rng.standard_normal(out.shape)
         dx = sp.backward_batch(g3)
         for i in range(4):
-            sp.forward_batch(x3[i : i + 1], train=True)
             np.testing.assert_array_equal(dx[i], sp.backward_batch(g3[i : i + 1])[0])
 
-    def test_batch_backward_requires_forward(self):
-        sp = Splice((0,))
-        sp.forward_batch(np.ones((2, 3, 1)), train=False)
-        with pytest.raises(RuntimeError):
-            sp.backward_batch(np.ones((2, 3, 1)))
+    @pytest.mark.parametrize("offsets", [(0,), (-2, 0, 1), (0, 4)])
+    def test_backward_needs_no_forward(self, offsets):
+        # the splice keeps no state: its backward reads the shape off the gradient
+        rng = np.random.default_rng(4)
+        x3 = rng.standard_normal((2, 5, 3))
+        g3 = rng.standard_normal((2, 5, 3 * len(offsets)))
+        fresh = Splice(offsets).backward_batch(g3)
+        used = Splice(offsets)
+        used.forward_batch(x3)
+        assert_same_bits(fresh, used.backward_batch(g3))
 
     def test_single_frame_clamps(self):
         out = Splice((-2, 0, 2)).forward(np.array([[7.0, 8.0]]))
@@ -235,9 +239,8 @@ class TestSplice:
             r = rng.standard_normal((2, 5, 6))
 
             def loss():
-                return float(np.sum(layer.forward_batch(x, train=False) * r))
+                return float(np.sum(layer.forward_batch(x) * r))
 
-            layer.forward_batch(x, train=True)
             dx = layer.backward_batch(r)
             assert_grads_close(dx, numeric_grad(loss, x), what="input")
 
@@ -256,7 +259,6 @@ class TestKernelOracles:
         rng = np.random.default_rng(t)
         b, d = 3, 4
         sp = Splice(offsets)
-        sp.forward_batch(rng.standard_normal((b, t, d)), train=True)
         g = rng.standard_normal((b, t, len(offsets) * d))
         expected = np.zeros((b, t, d))
         np.add.at(expected, (slice(None), clamped_index(t, offsets).ravel()),
@@ -272,7 +274,7 @@ class TestKernelOracles:
         x = rng.standard_normal((t, 5))
         assert_same_bits(sp.forward(x), x[idx].reshape(t, len(offsets) * 5))
         x3 = rng.standard_normal((3, t, 5))
-        assert_same_bits(sp.forward_batch(x3, train=True), x3[:, idx, :].reshape(3, t, len(offsets) * 5))
+        assert_same_bits(sp.forward_batch(x3), x3[:, idx, :].reshape(3, t, len(offsets) * 5))
 
     def test_affine_forward_bits(self):
         rng = np.random.default_rng(0)
@@ -329,7 +331,7 @@ class TestKernelOracles:
             layer.forward(x, train=True)
             layer.backward(g)
         sp.forward(x)
-        sp.forward_batch(x3, train=True)
+        sp.forward_batch(x3)
         sp.backward_batch(g3)
         for a, b in zip((x3, g, g3), kept):
             np.testing.assert_array_equal(a, b)

@@ -253,7 +253,7 @@ class TestMultiHeadPool:
                     bn.running_mean[...], bn.running_var[...] = mean, var
                 return float(np.sum(self._pool(pool, values, keys, train=True)[0] * r))
 
-            for p in pool.parameters():
+            for p in pool.net.parameters() + [pool.query]:
                 p.zero_grad()
             _, _, cache = pool.pool_from_compat(values, pool.net.forward(keys[0], train=True)[None])
             d_values, d_compat = pool.backward_from_compat(cache, r)
