@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data, evaluation
 from .config import from_json
-from .errors import ConfigError, TrainingError, XvecError
+from .errors import ConfigError, DataError, TrainingError, XvecError
 from .model import FrameLayerSpec, ModelConfig, build_model, load_model, save_model
 from .train import TrainConfig, check_model_gradients, train
 
@@ -76,6 +76,12 @@ def parse_compat(text: str) -> list:
     if not widths or any(w < 1 for w in widths):
         raise ConfigError(f"--compat: widths must be positive, got '{text}'")
     return widths
+
+
+def _require_fit(data_path, what: str, have: int, model_source, want: int) -> None:
+    """Fail before any output is written when the data does not fit the model."""
+    if have != want:
+        raise DataError(f"{data_path}: {have} {what}, but {model_source} expects {want}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -139,6 +145,10 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         train_dict["epochs"] = args.epochs
     train_config = from_json(TrainConfig, train_dict, f"{args.config}: train")
+    model_source = f"{args.config}: model"
+    _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
+                 model_source, model_config.input_dim)
+    _require_fit(args.data, "speakers", dataset.num_speakers, model_source, model_config.num_speakers)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -156,6 +166,8 @@ def cmd_train(args) -> int:
 def cmd_extract(args) -> int:
     model = load_model(args.model)
     dataset = data.load_dataset(args.data)
+    _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
+                 args.model, model.config.input_dim)
     plan = model.inference_plan()
     embeddings = {utt.utt_id: model.extract_embedding(utt.features, plan) for utt in dataset.utterances}
     data.write_embeddings(args.out, embeddings)
@@ -200,6 +212,7 @@ def cmd_eval(args) -> int:
 def cmd_attn(args) -> int:
     model = load_model(args.model)
     features = data.read_features(args.utt)
+    _require_fit(args.utt, "feature columns", features.shape[1], args.model, model.config.input_dim)
     max_weights, _ = evaluation.attention_trajectory(model, features)
     evaluation.write_trajectory(args.out, max_weights)
     print(f"wrote {max_weights.shape[0]} frames to {args.out}")
@@ -242,7 +255,7 @@ def cmd_gradcheck(args) -> int:
         report = check_model_gradients(model, features, label=config.num_speakers - 1)
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: max rel err {report.max_rel_err:.3e} over "
-              f"{sum(e.checked for e in report.entries)} parameters [{status}]")
+              f"{report.checked} parameters [{status}]")
         if not report.passed:
             failed.append(f"{name} ({report.worst}: {report.max_rel_err:.3e})")
     if failed:

@@ -101,10 +101,6 @@ class ModelConfig:
     def effective_key_layer(self) -> int:
         return self.key_layer if self.key_layer else self.num_frame_layers
 
-    @property
-    def effective_heads(self) -> int:
-        return self.heads if self.pooling == "multihead" else 1
-
     def validate(self) -> None:
         if self.input_dim < 1:
             raise ConfigError(f"input_dim: must be >= 1, got {self.input_dim}")
@@ -213,7 +209,7 @@ class Model:
             net = CompatibilityNet.build(rng, key_dim, config.compat)
             d_q = net.out_dim
             query = Parameter("query", rng.normal(0.0, np.sqrt(1.0 / d_q), size=d_q))
-            self.pool = MultiHeadPool(net, query, config.effective_heads)
+            self.pool = MultiHeadPool(net, query, config.heads)
 
         self.utt_affines = []
         self.utt_acts = []

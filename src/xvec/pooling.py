@@ -100,12 +100,12 @@ class CompatibilityNet:
         self.blocks = blocks
 
     @classmethod
-    def build(cls, rng: np.random.Generator, key_dim: int, widths, name: str = "compat") -> "CompatibilityNet":
+    def build(cls, rng: np.random.Generator, key_dim: int, widths) -> "CompatibilityNet":
         blocks = []
         din = key_dim
         for i, width in enumerate(widths):
-            affine = Affine.build(rng, din, int(width), f"{name}{i}")
-            blocks.append((affine, LeakyReLU(), BatchNorm.build(int(width), f"{name}{i}.bn")))
+            affine = Affine.build(rng, din, int(width), f"compat{i}")
+            blocks.append((affine, LeakyReLU(), BatchNorm.build(int(width), f"compat{i}.bn")))
             din = int(width)
         return cls(blocks)
 

@@ -116,7 +116,7 @@ def reference_forward(model, feats):
     if cfg.pooling == "stats":
         heads, weights = 1, np.full((1, t), 1.0 / t)
     else:
-        heads = cfg.effective_heads
+        heads = cfg.heads
         c = acts[cfg.effective_key_layer - 1]
         for i in range(len(cfg.compat)):
             c = _affine_leaky_norm(c, arrays, f"compat{i}")

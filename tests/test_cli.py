@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -413,13 +414,59 @@ class TestAttnErrors:
         assert "stats" in capsys.readouterr().err
 
 
+class TestModelDataMismatch:
+    """A model and data that do not fit fail with exit 2 and one error line
+    naming both sources, before anything is written."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):  # 3 speakers, 5 feature columns
+        rng = np.random.default_rng(0)
+        data.write_dataset([data.Utterance(f"u{i}", f"s{i % 3}", rng.standard_normal((12, 5)))
+                            for i in range(6)], tmp_path / "corpus")
+        return tmp_path / "corpus"
+
+    def _four_input_model(self, tmp_path):
+        cfg = ModelConfig(input_dim=4, frame_layers=(FrameLayerSpec((0,), 4),), pooling="attention",
+                          key_layer=1, compat=[3], utterance_layers=[5], num_speakers=3)
+        path = tmp_path / "m.xvm"
+        save_model(build_model(cfg, seed=0), path)
+        return str(path)
+
+    def _assert_refused(self, argv, message, out, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_extract(self, corpus, tmp_path, capsys):
+        model, out = self._four_input_model(tmp_path), tmp_path / "e.xve"
+        self._assert_refused(["extract", "--model", model, "--data", str(corpus), "--out", str(out)],
+                             f"{corpus}: 5 feature columns, but {model} expects 4", out, capsys)
+
+    def test_attn(self, corpus, tmp_path, capsys):
+        model, out, utt = self._four_input_model(tmp_path), tmp_path / "t.tsv", corpus / "feats" / "u0.xvf"
+        self._assert_refused(["attn", "--model", model, "--utt", str(utt), "--out", str(out)],
+                             f"{utt}: 5 feature columns, but {model} expects 4", out, capsys)
+
+    @pytest.mark.parametrize("key,value,what,have", [("input_dim", 7, "feature columns", 5),
+                                                     ("num_speakers", 4, "speakers", 3)])
+    def test_train(self, corpus, tmp_path, capsys, key, value, what, have):
+        cfg = json.loads(Path(micro_config(tmp_path)).read_text())
+        cfg["model"][key] = value
+        cfg = write_config(tmp_path, **cfg)
+        run = tmp_path / "run"
+        self._assert_refused(["train", "--config", cfg, "--data", str(corpus), "--out-dir", str(run)],
+                             f"{corpus}: {have} {what}, but {cfg}: model expects {value}", run, capsys)
+
+
 class TestGradcheckCommand:
     def test_all_poolings_pass(self, capsys):
-        assert main(["gradcheck", "--frames", "5"]) == 0
+        assert main(["gradcheck", "--seed", "0", "--frames", "5"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 3
         for name in ("stats", "att", "multihead"):
-            assert f"{name}:" in out
+            # the error it measured, not a floor it skipped to
+            err = float(re.search(rf"^{name}: max rel err (\S+) ", out, re.M).group(1))
+            assert 0.0 < err < 1e-4
 
     def test_single_pooling(self, capsys):
         assert main(["gradcheck", "--pooling", "stats", "--frames", "4"]) == 0

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xvec.config import from_json
 from xvec.data import Dataset, SynthConfig, Utterance, gen_synthetic, make_batches
@@ -362,15 +364,30 @@ class TestGradCheckHarness:
     def test_relative_error_formula(self):
         assert relative_error(1.0, 1.0) == 0.0
         np.testing.assert_allclose(relative_error(2.0, 1.0), 0.5)
-        # the 1e-8 floor keeps tiny disagreements from blowing up
-        np.testing.assert_allclose(relative_error(1e-12, 0.0), 1e-4)
+        # the floor keeps tiny disagreements from blowing up
+        np.testing.assert_allclose(relative_error(1e-12, 0.0), 1e-7)
+
+    # Near zero: exact zeros, gaps a few ulps either side of 1e-9, and sizes a
+    # few ulps either side of the floor.
+    _near = st.builds(lambda base, ulps, sign: sign * base * (1 + ulps * 2.0 ** -52),
+                      st.sampled_from([0.0, 5e-10, 1e-9, 2e-9, 5e-6, 1e-5, 2e-5, 1e-3]),
+                      st.integers(-4, 4), st.sampled_from([-1.0, 1.0]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(analytic=st.one_of(_near, st.floats(-1.0, 1.0)),
+           gap=st.one_of(_near, st.floats(-1e-3, 1e-3)))
+    def test_floor_keeps_the_verdicts_of_skip_and_floor(self, analytic, gap):
+        # the rule before the floor: skip a gap under 1e-9, else divide by at least 1e-8
+        numeric = analytic + gap
+        diff = abs(analytic - numeric)
+        old = diff < 1e-9 or diff / max(abs(analytic), abs(numeric), 1e-8) < GRADCHECK_THRESHOLD
+        assert (relative_error(analytic, numeric) < GRADCHECK_THRESHOLD) == old
 
     def test_passes_on_clean_model(self):
         model = tiny_model("multihead")
         x = np.random.default_rng(9).standard_normal((5, 4))
         report = check_model_gradients(model, x, label=1)
         assert report.passed
-        assert report.threshold == GRADCHECK_THRESHOLD
         assert report.max_rel_err < 1e-4
 
     def test_detects_corrupted_gradient(self):
@@ -387,6 +404,26 @@ class TestGradCheckHarness:
         report = check_model_gradients(model, x, label=0)
         assert not report.passed
         assert report.worst == "classifier.weight"
+
+    @pytest.mark.parametrize("name", ["classifier.weight", "frame0.weight"])
+    def test_nan_gradient_fails(self, name):
+        model = tiny_model()
+        x = np.random.default_rng(10).standard_normal((5, 4))
+        param = {p.name: p for p in model.parameters()}[name]
+        original = model.backward_batch
+
+        def corrupted(d_posteriors, cache):
+            out = original(d_posteriors, cache)
+            param.grad.reshape(-1)[1] = np.nan
+            return out
+
+        model.backward_batch = corrupted
+        report = check_model_gradients(model, x, label=0)
+        assert np.isnan(report.errors[name])
+        assert np.isnan(report.max_rel_err)
+        assert not report.passed
+        assert report.worst == name
+        assert report.checked == sum(p.value.size for p in model.parameters())
 
     def test_restores_model_state(self):
         model = tiny_model("attention")
