@@ -84,6 +84,36 @@ def _require_fit(data_path, what: str, have: int, model_source, want: int) -> No
         raise DataError(f"{data_path}: {have} {what}, but {model_source} expects {want}")
 
 
+def _require_out(out_path) -> None:
+    """Fail before any work when an output file has nowhere to go."""
+    path = Path(out_path)
+    if path.is_dir():
+        raise DataError(f"{out_path}: is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"{out_path}: {path.parent} is not a directory")
+
+
+def _unscorable(args, embeddings: dict, trials: list, enroll_map: dict | None) -> DataError:
+    """The first enrollment row or trial score_trials refused, named by its
+    file and line, looked for in score_trials' order: the enrollment map,
+    then each trial's enroll id and test segment. _read_rows keeps one row
+    per line, in order."""
+    missing = f"has no embedding in {args.embeddings}"
+    enroll_map = enroll_map or {}
+    for spk, segments in enroll_map.items():
+        for seg in segments:
+            if seg not in embeddings:
+                line = data._read_rows(args.enroll_map, "speaker<TAB>segment").index([spk, seg]) + 1
+                return DataError(f"{args.enroll_map}:{line}: segment '{seg}' of speaker '{spk}' {missing}")
+    for line, t in enumerate(trials, 1):
+        if t.enroll not in enroll_map and t.enroll not in embeddings:
+            where = f"in neither {args.enroll_map} nor" if enroll_map else "not in"
+            return DataError(f"{args.trials}:{line}: enroll id '{t.enroll}' is {where} {args.embeddings}")
+        if t.test not in embeddings:
+            return DataError(f"{args.trials}:{line}: test segment '{t.test}' {missing}")
+    raise AssertionError("score_trials refused rows that all resolve")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -124,6 +154,8 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     if cfg.model is None:
         raise ConfigError(f"{args.config}: train needs a 'model' section")
+    if args.out_model:
+        _require_out(args.out_model)
     dataset = data.load_dataset(args.data)
 
     model_dict = dict(cfg.model)
@@ -164,6 +196,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    _require_out(args.out)
     model = load_model(args.model)
     dataset = data.load_dataset(args.data)
     _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
@@ -177,20 +210,33 @@ def cmd_extract(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _require_out(args.out)
     embeddings = data.read_embeddings(args.embeddings)
     trials = evaluation.read_trials(args.trials)
     enroll_map = evaluation.read_enroll_map(args.enroll_map) if args.enroll_map else None
-    scored = evaluation.score_trials(embeddings, trials, enroll_map)
+    try:
+        scored = evaluation.score_trials(embeddings, trials, enroll_map)
+    except DataError:
+        raise _unscorable(args, embeddings, trials, enroll_map) from None
     evaluation.write_scores(args.out, scored)
     print(f"wrote {len(scored)} scores to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _require_out(args.out)
     scores = evaluation.read_scores(args.scores)
     trials = evaluation.read_trials(args.trials)
-    values, labels = evaluation.join_scores_with_trials(scores, trials)
-    report = evaluation.compute_metrics(values, labels)
+    try:
+        values, labels = evaluation.join_scores_with_trials(scores, trials)
+    except DataError:  # read_trials labels every trial, so one has no score
+        line, t = next((n, t) for n, t in enumerate(trials, 1) if (t.enroll, t.test) not in scores)
+        raise DataError(f"{args.trials}:{line}: trial ({t.enroll}, {t.test}) has no score in {args.scores}") from None
+    try:
+        report = evaluation.compute_metrics(values, labels)
+    except DataError as e:  # read_scores admits only finite scores, so the labels are of one class
+        raise DataError(f"{args.trials}: {e}") from None
     extra = None
     custom = (args.p_target, args.c_miss, args.c_fa)
     if any(v is not None for v in custom):
@@ -210,10 +256,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attn(args) -> int:
+    _require_out(args.out)
     model = load_model(args.model)
     features = data.read_features(args.utt)
     _require_fit(args.utt, "feature columns", features.shape[1], args.model, model.config.input_dim)
-    max_weights, _ = evaluation.attention_trajectory(model, features)
+    try:
+        max_weights, _ = evaluation.attention_trajectory(model, features)
+    except ConfigError as e:  # a model without attention
+        raise ConfigError(f"{args.model}: {e}") from None
     evaluation.write_trajectory(args.out, max_weights)
     print(f"wrote {max_weights.shape[0]} frames to {args.out}")
     return 0

@@ -382,13 +382,18 @@ def load_dataset(manifest_path) -> Dataset:
     utterances = []
     rows = _read_rows(path, "utt_id<TAB>speaker<TAB>path", "utterance id", key=1)
     for lineno, (utt_id, speaker, rel) in enumerate(rows, 1):
-        feats = read_features(root / rel)
+        try:
+            feats = read_features(root / rel)
+        except OSError as e:
+            raise DataError(f"{path}:{lineno}: cannot read {root / rel}: {e.strerror}") from None
         if utterances and feats.shape[1] != utterances[0].features.shape[1]:
             raise DataError(f"{path}:{lineno}: {rel} has {feats.shape[1]} feature columns, "
                             f"line 1 has {utterances[0].features.shape[1]}")
         gate = gates.get(utt_id)
         if gate is not None and gate.shape[0] != feats.shape[0]:
-            raise DataError(f"{utt_id}: gate length {gate.shape[0]} != {feats.shape[0]} frames")
+            gate_line = list(gates).index(utt_id) + 1  # _read_rows keeps one row per line, in order
+            raise DataError(f"{gate_path}:{gate_line}: {gate.shape[0]} gate values for {utt_id}, "
+                            f"but {rel} ({path}:{lineno}) has {feats.shape[0]} frames")
         utterances.append(Utterance(utt_id, speaker, feats, gate.astype(np.int8) if gate is not None else None))
     return Dataset.from_utterances(utterances)
 

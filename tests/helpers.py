@@ -15,12 +15,9 @@ import numpy as np
 from xvec.data import stationary_on_fraction
 from xvec.nn import BN_EPSILON, LEAKY_SLOPE, Parameter
 from xvec.pooling import EPS_VAR, CompatibilityNet, MultiHeadPool
+from xvec.train import GRADCHECK_THRESHOLD, relative_error
 
 FD_EPS = 1e-5
-FD_THRESHOLD = 1e-4
-# Central differences cannot resolve loss changes below ~ulp(loss)/2eps; an
-# absolute disagreement under this floor counts as agreement at zero.
-FD_ATOL = 1e-9
 
 
 def numeric_grad(fn, array, eps=FD_EPS):
@@ -40,16 +37,19 @@ def numeric_grad(fn, array, eps=FD_EPS):
     return grad
 
 
-def assert_grads_close(analytic, numeric, threshold=FD_THRESHOLD, atol=FD_ATOL, what=""):
+def assert_grads_close(analytic, numeric, what=""):
+    """The gradient checker's rule: every relative_error under
+    GRADCHECK_THRESHOLD, a NaN failing. Returns the largest error, 0.0 for
+    an empty pair; a failure names the worst element."""
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
     assert a.shape == n.shape, f"{what}: shape {a.shape} vs {n.shape}"
-    for i in range(a.size):
-        if abs(a[i] - n[i]) < atol:
-            continue
-        rel = abs(a[i] - n[i]) / max(abs(a[i]), abs(n[i]), 1e-8)
-        assert rel < threshold, (
-            f"{what} element {i}: analytic {a[i]!r}, numeric {n[i]!r}, rel err {rel:.3e}")
+    err = relative_error(a, n)
+    worst = float(np.max(err, initial=0.0))  # a NaN stays NaN
+    i = int(np.argmax(err)) if err.size else 0  # argmax finds the first NaN
+    assert worst < GRADCHECK_THRESHOLD, (
+        f"{what} element {i}: analytic {a[i]!r}, numeric {n[i]!r}, rel err {worst:.3e}")
+    return worst
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:

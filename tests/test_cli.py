@@ -409,9 +409,139 @@ class TestAttnErrors:
         save_model(build_model(cfg, seed=0), model_path)
         feat_path = tmp_path / "u.xvf"
         data.write_features(feat_path, np.zeros((6, 3)))
-        assert main(["attn", "--model", str(model_path),
-                     "--utt", str(feat_path), "--out", str(tmp_path / "t.tsv")]) == 1
-        assert "stats" in capsys.readouterr().err
+        out = tmp_path / "t.tsv"
+        assert main(["attn", "--model", str(model_path), "--utt", str(feat_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: {model_path}: pooling 'stats' produces no attention weights"]
+        assert not out.exists()
+
+
+class TestErrorsNameTheirFiles:
+    """A dataset, trial or score file at fault fails with its exit code and
+    one error line naming the files involved, and the line where one row is
+    at fault, before anything is written."""
+
+    def _refused(self, argv, code, message, out, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.fixture
+    def eval_copy(self, pipeline, tmp_path):
+        shutil.copytree(pipeline["corpus"] / "eval", tmp_path / "eval")
+        return tmp_path / "eval"
+
+    def _extract(self, pipeline, eval_dir, out):
+        return ["extract", "--model", str(pipeline["run"] / "model.xvm"), "--data", str(eval_dir), "--out", str(out)]
+
+    def test_gate_short_of_its_frames(self, pipeline, eval_copy, tmp_path, capsys):
+        gates = eval_copy / "gates.tsv"
+        lines = gates.read_text().splitlines()
+        utt, bits = lines[2].split("\t")
+        lines[2] = f"{utt}\t{bits[:-3]}"
+        gates.write_text("\n".join(lines) + "\n")
+        manifest_line = [row.split("\t")[0] for row in (eval_copy / "manifest.tsv").read_text().splitlines()].index(utt) + 1
+        out = tmp_path / "e.xve"
+        self._refused(self._extract(pipeline, eval_copy, out), 2,
+                      f"{gates}:3: {len(bits) - 3} gate values for {utt}, but feats/{utt}.xvf "
+                      f"({eval_copy / 'manifest.tsv'}:{manifest_line}) has {len(bits)} frames", out, capsys)
+
+    def test_feature_file_missing(self, pipeline, eval_copy, tmp_path, capsys):
+        rel = (eval_copy / "manifest.tsv").read_text().splitlines()[3].split("\t")[2]
+        (eval_copy / rel).unlink()
+        out = tmp_path / "e.xve"
+        self._refused(self._extract(pipeline, eval_copy, out), 2,
+                      f"{eval_copy / 'manifest.tsv'}:4: cannot read {eval_copy / rel}: No such file or directory",
+                      out, capsys)
+
+    def _score(self, pipeline, tmp_path, field, line, value, name="trials.tsv"):
+        """score with one field of one line of the trials or enrollment map replaced."""
+        files = {n: tmp_path / n for n in ("trials.tsv", "enroll.tsv")}
+        for n, path in files.items():
+            shutil.copy(pipeline["corpus"] / n, path)
+        rows = [row.split("\t") for row in files[name].read_text().splitlines()]
+        rows[line - 1][field] = value
+        files[name].write_text("".join("\t".join(row) + "\n" for row in rows))
+        return files, ["score", "--embeddings", str(pipeline["emb"]), "--trials", str(files["trials.tsv"]),
+                       "--enroll-map", str(files["enroll.tsv"]), "--out", str(tmp_path / "s.tsv")]
+
+    def test_score_test_segment_without_embedding(self, pipeline, tmp_path, capsys):
+        files, argv = self._score(pipeline, tmp_path, 1, 5, "ghost")
+        self._refused(argv, 2, f"{files['trials.tsv']}:5: test segment 'ghost' has no embedding in {pipeline['emb']}",
+                      tmp_path / "s.tsv", capsys)
+
+    def test_score_enroll_id_nowhere(self, pipeline, tmp_path, capsys):
+        files, argv = self._score(pipeline, tmp_path, 0, 7, "nobody")
+        self._refused(argv, 2, f"{files['trials.tsv']}:7: enroll id 'nobody' is in neither "
+                      f"{files['enroll.tsv']} nor {pipeline['emb']}", tmp_path / "s.tsv", capsys)
+        # without an enrollment map, a speaker id is an enroll id the embeddings lack
+        speaker = files["trials.tsv"].read_text().split("\t", 1)[0]
+        self._refused(argv[:-4] + argv[-2:], 2, f"{files['trials.tsv']}:1: enroll id '{speaker}' is not in "
+                      f"{pipeline['emb']}", tmp_path / "s.tsv", capsys)
+
+    def test_score_enrollment_segment_without_embedding(self, pipeline, tmp_path, capsys):
+        files, argv = self._score(pipeline, tmp_path, 1, 2, "nope", name="enroll.tsv")
+        speaker = files["enroll.tsv"].read_text().splitlines()[1].split("\t")[0]
+        self._refused(argv, 2, f"{files['enroll.tsv']}:2: segment 'nope' of speaker '{speaker}' has no embedding "
+                      f"in {pipeline['emb']}", tmp_path / "s.tsv", capsys)
+
+    def test_eval_trial_without_score(self, pipeline, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        lines = pipeline["scores"].read_text().splitlines(keepends=True)
+        scores.write_text("".join(lines[:5] + lines[6:]))
+        trials = pipeline["corpus"] / "trials.tsv"
+        enroll, test = trials.read_text().splitlines()[5].split("\t")[:2]
+        out = tmp_path / "m.json"
+        self._refused(["eval", "--scores", str(scores), "--trials", str(trials), "--out", str(out)], 2,
+                      f"{trials}:6: trial ({enroll}, {test}) has no score in {scores}", out, capsys)
+
+    def test_eval_trials_of_one_class(self, pipeline, tmp_path, capsys):
+        trials = tmp_path / "trials.tsv"
+        targets = [row for row in (pipeline["corpus"] / "trials.tsv").read_text().splitlines(keepends=True)
+                   if row.endswith("\ttarget\n")]
+        trials.write_text("".join(targets))
+        out = tmp_path / "m.json"
+        self._refused(["eval", "--scores", str(pipeline["scores"]), "--trials", str(trials), "--out", str(out)], 2,
+                      f"{trials}: need at least one target and one nontarget trial, "
+                      f"got {len(targets)} targets and 0 nontargets", out, capsys)
+
+
+class TestOutputWithNowhereToGo:
+    """An output file whose directory does not exist, or that is a
+    directory, fails with exit 2 and one error line naming it, before any
+    work and with nothing written."""
+
+    def test_train_out_model(self, tmp_path, capsys):
+        cfg = micro_config(tmp_path, epochs=1)
+        corpus, run = tmp_path / "corpus", tmp_path / "run"
+        assert main(["gen-data", "--config", cfg, "--out-dir", str(corpus)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "m.xvm"
+        assert main(["train", "--config", cfg, "--data", str(corpus / "train"), "--out-dir", str(run),
+                     "--out-model", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {out}: {out.parent} is not a directory"]
+        assert not run.exists() and not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "score", "eval", "attn"])
+    def test_out(self, pipeline, tmp_path, capsys, command):
+        corpus = pipeline["corpus"]
+        out = tmp_path / "missing" / "out"
+        argv = {
+            "extract": ["--model", str(pipeline["run"] / "model.xvm"), "--data", str(corpus / "eval")],
+            "score": ["--embeddings", str(pipeline["emb"]), "--trials", str(corpus / "trials.tsv")],
+            "eval": ["--scores", str(pipeline["scores"]), "--trials", str(corpus / "trials.tsv")],
+            "attn": ["--model", str(pipeline["run"] / "model.xvm"),
+                     "--utt", str(next((corpus / "eval" / "feats").glob("*.xvf")))],
+        }[command]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {out}: {out.parent} is not a directory"]
+        assert captured.out == "" and not out.parent.exists()
+        out.mkdir(parents=True)
+        assert main([command, *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {out}: is a directory"]
+        assert captured.out == "" and not any(out.iterdir())
 
 
 class TestModelDataMismatch:

@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from helpers import assert_grads_close
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -382,6 +383,21 @@ class TestGradCheckHarness:
         diff = abs(analytic - numeric)
         old = diff < 1e-9 or diff / max(abs(analytic), abs(numeric), 1e-8) < GRADCHECK_THRESHOLD
         assert (relative_error(analytic, numeric) < GRADCHECK_THRESHOLD) == old
+
+    def test_helper_returns_the_largest_error(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal(40) * np.logspace(-8, 0, 40)  # sizes either side of the floor
+        n = a + rng.standard_normal(40) * 1e-10
+        assert assert_grads_close(a, n) == np.max(relative_error(a, n)) > 0.0
+        assert assert_grads_close(np.empty(0), np.empty(0)) == 0.0
+
+    def test_helper_fails_a_nan_and_names_it(self):
+        a = np.linspace(-1.0, 1.0, 6)
+        n = a.copy()
+        a[1] += 1e-3  # a failing element before the NaN: the NaN is the one named
+        a[3] = np.nan
+        with pytest.raises(AssertionError, match=r"^probe element 3: analytic .*nan.*, rel err nan$"):
+            assert_grads_close(a, n, what="probe")
 
     def test_passes_on_clean_model(self):
         model = tiny_model("multihead")
