@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,25 +37,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSection:
     train: data.SynthConfig
     eval: data.SynthConfig | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialsSection:
-    enroll_per_speaker: int = 0
+    enroll_per_speaker: int = 0  # 0: no trials
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.enroll_per_speaker < 0:
+            raise ConfigError(f"enroll_per_speaker: must be >= 0, got {self.enroll_per_speaker}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
-    # model and train are typed once the command has applied its defaults and flags
+    # model is typed once train has filled in the data's defaults
     model: dict | None = None
     synth: SynthSection | None = None
     trials: TrialsSection = field(default_factory=TrialsSection)
-    train: dict = field(default_factory=dict)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 def load_run_config(path) -> RunConfig:
@@ -84,13 +88,27 @@ def _require_fit(data_path, what: str, have: int, model_source, want: int) -> No
         raise DataError(f"{data_path}: {have} {what}, but {model_source} expects {want}")
 
 
-def _require_out(out_path) -> None:
-    """Fail before any work when an output file has nowhere to go."""
+def _require_out(out_path, directory: bool = False) -> None:
+    """Fail before any work when an output has nowhere to go. A file goes in
+    an existing directory and must not be one; a directory is made with its
+    parents, so it, or else its nearest existing ancestor, must be one."""
     path = Path(out_path)
-    if path.is_dir():
+    if not directory and path.is_dir():
         raise DataError(f"{out_path}: is a directory")
-    if not path.parent.is_dir():
-        raise DataError(f"{out_path}: {path.parent} is not a directory")
+    base = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+    if not base.is_dir():
+        raise DataError(f"{out_path}: is not a directory" if base == path else f"{out_path}: {base} is not a directory")
+
+
+def _override(config, flags: dict):
+    """``config`` with the value of each flag given; ``flags`` maps a flag to
+    its (field, value), the value None when the flag is not given. The
+    config was valid, so a ConfigError names the flags given."""
+    given = {flag: field_value for flag, field_value in flags.items() if field_value[1] is not None}
+    try:
+        return replace(config, **dict(given.values()))
+    except ConfigError as e:
+        raise ConfigError(f"{', '.join(given)}: {e}") from None
 
 
 def _unscorable(args, embeddings: dict, trials: list, enroll_map: dict | None) -> DataError:
@@ -121,16 +139,16 @@ def cmd_gen_data(args) -> int:
     cfg = load_run_config(args.config)
     if cfg.synth is None:
         raise ConfigError(f"{args.config}: gen-data needs a 'synth' section")
-    train_cfg, eval_cfg = cfg.synth.train, cfg.synth.eval
-    enroll_per_speaker, trials_seed = cfg.trials.enroll_per_speaker, cfg.trials.seed
-    if eval_cfg is None and enroll_per_speaker > 0:
+    train_cfg, eval_cfg, trials_cfg = cfg.synth.train, cfg.synth.eval, cfg.trials
+    if eval_cfg is None and trials_cfg.enroll_per_speaker > 0:
         raise ConfigError(f"{args.config}: trials need a synth.eval section to draw from")
+    _require_out(args.out_dir, directory=True)
 
     if args.seed is not None:
-        train_cfg.seed = args.seed
+        train_cfg = replace(train_cfg, seed=args.seed)
         if eval_cfg is not None:
-            eval_cfg.seed = args.seed + 1
-        trials_seed = args.seed + 2
+            eval_cfg = replace(eval_cfg, seed=args.seed + 1)
+        trials_cfg = replace(trials_cfg, seed=args.seed + 2)
 
     out = Path(args.out_dir)
     written = {}  # split -> its (utt_id, speaker) pairs
@@ -142,8 +160,8 @@ def cmd_gen_data(args) -> int:
         print(f"wrote {len(pairs)} utterances "
               f"({len({spk for _, spk in pairs})} speakers) to {out / split}")
 
-    if enroll_per_speaker > 0:
-        trials, enroll_map = evaluation.make_trials(written["eval"], enroll_per_speaker, trials_seed)
+    if trials_cfg.enroll_per_speaker > 0:
+        trials, enroll_map = evaluation.make_trials(written["eval"], trials_cfg.enroll_per_speaker, trials_cfg.seed)
         evaluation.write_trials(out / "trials.tsv", trials)
         evaluation.write_enroll_map(out / "enroll.tsv", enroll_map)
         print(f"wrote {len(trials)} trials to {out / 'trials.tsv'}")
@@ -154,6 +172,8 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     if cfg.model is None:
         raise ConfigError(f"{args.config}: train needs a 'model' section")
+    train_config = _override(cfg.train, {"--seed": ("seed", args.seed), "--epochs": ("epochs", args.epochs)})
+    _require_out(args.out_dir, directory=True)
     if args.out_model:
         _require_out(args.out_model)
     dataset = data.load_dataset(args.data)
@@ -161,23 +181,13 @@ def cmd_train(args) -> int:
     model_dict = dict(cfg.model)
     model_dict.setdefault("input_dim", dataset.utterances[0].features.shape[1])
     model_dict.setdefault("num_speakers", dataset.num_speakers)
-    if args.pooling is not None:
-        model_dict["pooling"] = POOLING_FLAGS[args.pooling]
-    if args.key_layer is not None:
-        model_dict["key_layer"] = args.key_layer
-    if args.compat is not None:
-        model_dict["compat"] = parse_compat(args.compat)
-    if args.heads is not None:
-        model_dict["heads"] = args.heads
-    model_config = from_json(ModelConfig, model_dict, f"{args.config}: model")
-
-    train_dict = dict(cfg.train)
-    if args.seed is not None:
-        train_dict["seed"] = args.seed
-    if args.epochs is not None:
-        train_dict["epochs"] = args.epochs
-    train_config = from_json(TrainConfig, train_dict, f"{args.config}: train")
     model_source = f"{args.config}: model"
+    model_config = _override(from_json(ModelConfig, model_dict, model_source), {
+        "--pooling": ("pooling", POOLING_FLAGS.get(args.pooling)),
+        "--key-layer": ("key_layer", args.key_layer),
+        "--compat": ("compat", None if args.compat is None else parse_compat(args.compat)),
+        "--heads": ("heads", args.heads),
+    })
     _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
                  model_source, model_config.input_dim)
     _require_fit(args.data, "speakers", dataset.num_speakers, model_source, model_config.num_speakers)

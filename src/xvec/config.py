@@ -20,8 +20,9 @@ _GOT = {type(None): "null", bool: "a boolean"} | {t: name for t, (_, name) in _E
 
 def from_json(cls, value, where: str):
     """Build ``cls`` (a dataclass, list[X], tuple[X, ...], int, float, str,
-    dict or X | None) from decoded JSON and run the validate() of each
-    dataclass built. ``where`` names the value: "run.json", "run.json: model"."""
+    dict or X | None) from decoded JSON. A dataclass checks its own rules
+    when built; a ConfigError it raises is prefixed with ``where``, which
+    names the value: "run.json", "run.json: model"."""
     if typing.get_origin(cls) is types.UnionType:  # X | None
         if value is None:
             return None
@@ -50,10 +51,8 @@ def from_json(cls, value, where: str):
         raise ConfigError(f"{where}: missing key {missing[0]!r}")
     hints = typing.get_type_hints(cls)
     sep = "." if ": " in where else ": "  # "run.json: model", then "run.json: model.heads"
-    obj = cls(**{name: from_json(hints[name], v, f"{where}{sep}{name}") for name, v in value.items()})
-    if hasattr(obj, "validate"):
-        try:
-            obj.validate()
-        except ConfigError as e:
-            raise ConfigError(f"{where}: {e}") from None
-    return obj
+    kwargs = {name: from_json(hints[name], v, f"{where}{sep}{name}") for name, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None

@@ -26,7 +26,7 @@ MAX_FEATURE_FRAMES = 2**32 - 1  # the .xvf header stores the frame count as u32
 WRITE_AHEAD_BYTES = 1 << 20  # features write_dataset draws ahead of its writes; see _drawn_ahead
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     num_speakers: int = 32
     utts_per_speaker: int = 20
@@ -39,7 +39,7 @@ class SynthConfig:
     sigma: float = 0.5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_speakers < 2:
             raise ConfigError(f"num_speakers: must be >= 2, got {self.num_speakers}")
         if self.utts_per_speaker < 1:
@@ -128,10 +128,8 @@ def _sample_gate(rng: np.random.Generator, t: int, p_stay_on: float, p_stay_off:
 def gen_synthetic(cfg: SynthConfig, split: str = "train") -> Iterator[Utterance]:
     """Yield a split's utterances one at a time, speaker by speaker: per
     speaker a Gaussian identity vector, per frame a Markov gate deciding
-    whether the identity is present under the noise. The config is checked
-    when the first utterance is drawn. Dataset.from_utterances holds a split
-    in memory."""
-    cfg.validate()
+    whether the identity is present under the noise. Dataset.from_utterances
+    holds a split in memory."""
     rng = np.random.default_rng(cfg.seed)
     for k in range(cfg.num_speakers):
         spk = f"s{k:04d}"

@@ -65,15 +65,16 @@ POOLING_KINDS = ("stats", "attention", "multihead")
 CHECKPOINT_MAGIC = b"XVM1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameLayerSpec:
     offsets: tuple[int, ...]
     width: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture description; see validate() for the invariants."""
+    """Architecture description, checked once when built; see __post_init__
+    for the invariants."""
 
     input_dim: int
     frame_layers: tuple[FrameLayerSpec, ...]
@@ -101,7 +102,7 @@ class ModelConfig:
     def effective_key_layer(self) -> int:
         return self.key_layer if self.key_layer else self.num_frame_layers
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ConfigError(f"input_dim: must be >= 1, got {self.input_dim}")
         if not self.frame_layers:
@@ -192,7 +193,6 @@ class Model:
     """x-vector network instance holding all trainable state."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        config.validate()
         self.config = config
         self.frame_blocks = []
         din = config.input_dim
@@ -246,29 +246,19 @@ class Model:
             p.zero_grad()
 
     def state_arrays(self) -> list:
-        """(name, array) pairs in the fixed order used by checkpoints."""
-        out = []
-        for i, block in enumerate(self.frame_blocks):
-            out.append((f"frame{i}.weight", block.affine.weight.value))
-            out.append((f"frame{i}.bias", block.affine.bias.value))
-            out.append((f"frame{i}.bn.gamma", block.bn.gamma.value))
-            out.append((f"frame{i}.bn.beta", block.bn.beta.value))
-            out.append((f"frame{i}.bn.running_mean", block.bn.running_mean))
-            out.append((f"frame{i}.bn.running_var", block.bn.running_var))
+        """(name, array) pairs in the fixed order used by checkpoints: the
+        parameters in order, each batch norm's running mean and variance
+        right after its beta."""
+        norms = [block.bn for block in self.frame_blocks]
         if isinstance(self.pool, MultiHeadPool):
-            for i, (affine, _, bn) in enumerate(self.pool.net.blocks):
-                out.append((f"compat{i}.weight", affine.weight.value))
-                out.append((f"compat{i}.bias", affine.bias.value))
-                out.append((f"compat{i}.bn.gamma", bn.gamma.value))
-                out.append((f"compat{i}.bn.beta", bn.beta.value))
-                out.append((f"compat{i}.bn.running_mean", bn.running_mean))
-                out.append((f"compat{i}.bn.running_var", bn.running_var))
-            out.append(("query", self.pool.query.value))
-        for i, affine in enumerate(self.utt_affines):
-            out.append((f"utt{i}.weight", affine.weight.value))
-            out.append((f"utt{i}.bias", affine.bias.value))
-        out.append(("classifier.weight", self.classifier.weight.value))
-        out.append(("classifier.bias", self.classifier.bias.value))
+            norms += [bn for _, _, bn in self.pool.net.blocks]
+        norm_of_beta = {id(bn.beta): bn for bn in norms}
+        out = []
+        for p in self.parameters():
+            out.append((p.name, p.value))
+            if (bn := norm_of_beta.get(id(p))) is not None:
+                stem = p.name.removesuffix("beta")
+                out += [(f"{stem}running_mean", bn.running_mean), (f"{stem}running_var", bn.running_var)]
         return out
 
     # -- forward / backward ---------------------------------------------------

@@ -148,8 +148,8 @@ class MultiHeadPool:
 
     The compatibility net runs once on the full keys; its output, the query
     and the values are split into h pieces. With h=1 this is exactly single
-    head attention pooling. ModelConfig.validate checks that h divides d_v
-    and d_q.
+    head attention pooling. ModelConfig checks, when built, that h divides
+    d_v and d_q.
     """
 
     def __init__(self, net: CompatibilityNet, query: Parameter, heads: int):

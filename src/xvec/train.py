@@ -26,7 +26,7 @@ log = logging.getLogger(__name__)
 OPTIMIZERS = ("adam", "sgd_momentum")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     optimizer: str = "adam"
     lr: float = 1e-3
@@ -41,7 +41,7 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer: must be one of {OPTIMIZERS}, got '{self.optimizer}'")
         if self.lr < 0:
@@ -58,8 +58,8 @@ class TrainConfig:
             raise ConfigError(f"clip_norm: must be >= 0, got {self.clip_norm}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.chunk_len < 1:
-            raise ConfigError(f"chunk_len: must be >= 1, got {self.chunk_len}")
+        if self.chunk_len < 2:  # train-mode batch norm needs two frames to normalize
+            raise ConfigError(f"chunk_len: must be >= 2, got {self.chunk_len}")
         if self.epochs < 1:
             raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
 
@@ -70,7 +70,6 @@ class Optimizer:
     folded into the gradient."""
 
     def __init__(self, params, cfg: TrainConfig):
-        cfg.validate()
         self.params = list(params)
         self.cfg = cfg
         self.t = 0
@@ -167,7 +166,6 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
           checkpoint_dir=None, log_path=None) -> TrainReport:
     """Run the full loop: per-epoch reshuffled chunk batches, a JSONL loss
     log, one checkpoint per epoch and a final accuracy sweep per epoch."""
-    cfg.validate()
     if dataset.num_speakers != model.config.num_speakers:
         raise DataError(
             f"dataset has {dataset.num_speakers} speakers but the model "

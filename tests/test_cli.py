@@ -508,8 +508,9 @@ class TestErrorsNameTheirFiles:
 
 class TestOutputWithNowhereToGo:
     """An output file whose directory does not exist, or that is a
-    directory, fails with exit 2 and one error line naming it, before any
-    work and with nothing written."""
+    directory, and an output directory that is a file or lies under one,
+    fail with exit 2 and one error line naming them, before any work and
+    with nothing written."""
 
     def test_train_out_model(self, tmp_path, capsys):
         cfg = micro_config(tmp_path, epochs=1)
@@ -542,6 +543,86 @@ class TestOutputWithNowhereToGo:
         captured = capsys.readouterr()
         assert captured.err.strip().splitlines() == [f"error: {out}: is a directory"]
         assert captured.out == "" and not any(out.iterdir())
+
+    def test_train_out_dir_is_a_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "F"
+        out.write_text("keep")
+        monkeypatch.setattr(data, "load_dataset", None)  # the command must fail before it loads anything
+        assert main(["train", "--config", micro_config(tmp_path), "--data", str(tmp_path / "corpus"),
+                     "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {out}: is not a directory"]
+        assert captured.out == "" and out.read_text() == "keep"
+
+    def test_gen_data_out_dir_under_a_file(self, tmp_path, capsys, monkeypatch):
+        parent = tmp_path / "F"
+        parent.write_text("keep")
+        out = parent / "sub"
+        monkeypatch.setattr(data, "gen_synthetic", None)  # nor draw anything
+        assert main(["gen-data", "--config", micro_config(tmp_path), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {out}: {parent} is not a directory"]
+        assert captured.out == "" and parent.read_text() == "keep"
+
+
+class TestRefusedBeforeWork:
+    """A config value or a flag at fault fails before any work, with exit 1,
+    one error line naming its source and nothing written."""
+
+    def _refused(self, argv, message, out, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"error: {message}"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.fixture
+    def corpus(self, tmp_path, capsys):  # 3 speakers, 4 feature columns
+        assert main(["gen-data", "--config", micro_config(tmp_path), "--out-dir", str(tmp_path / "corpus")]) == 0
+        capsys.readouterr()
+        return tmp_path / "corpus" / "train"
+
+    def test_one_frame_chunks(self, tmp_path, capsys):
+        # 9 utterances in batches of 4: the last batch would be one frame
+        cfg = json.loads(Path(micro_config(tmp_path)).read_text())
+        cfg["synth"]["train"]["utts_per_speaker"] = 3
+        corpus, run = tmp_path / "corpus", tmp_path / "run"
+        assert main(["gen-data", "--config", write_config(tmp_path, **cfg), "--out-dir", str(corpus)]) == 0
+        capsys.readouterr()
+        cfg["train"]["chunk_len"] = 1
+        path = write_config(tmp_path, "one-frame.json", **cfg)
+        self._refused(["train", "--config", path, "--data", str(corpus / "train"), "--out-dir", str(run)],
+                      f"{path}: train: chunk_len: must be >= 2, got 1", run, capsys)
+
+    def test_negative_trial_count(self, tmp_path, capsys):
+        cfg = json.loads(Path(micro_config(tmp_path)).read_text())
+        cfg["trials"]["enroll_per_speaker"] = -2
+        path, out = write_config(tmp_path, **cfg), tmp_path / "corpus"
+        self._refused(["gen-data", "--config", path, "--out-dir", str(out)],
+                      f"{path}: trials: enroll_per_speaker: must be >= 0, got -2", out, capsys)
+
+    def test_gen_data_checks_the_train_section(self, tmp_path, capsys):
+        path, out = micro_config(tmp_path, epochs=0), tmp_path / "corpus"
+        self._refused(["gen-data", "--config", path, "--out-dir", str(out)],
+                      f"{path}: train: epochs: must be >= 1, got 0", out, capsys)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "--epochs: epochs: must be >= 1, got 0"),
+        (["--heads", "0"], "--heads: heads: must be >= 1, got 0"),
+        (["--key-layer", "9"], "--key-layer: key_layer: must be in [0, 2], 0 = the last layer, got 9"),
+        (["--seed", "3", "--pooling", "multihead", "--heads", "5"],
+         "--pooling, --heads: heads: 5 does not divide the value dimension 8"),
+    ])
+    def test_a_bad_flag_is_named(self, corpus, tmp_path, capsys, flags, message):
+        run = tmp_path / "run"
+        self._refused(["train", "--config", micro_config(tmp_path, pooling="multihead"), "--data", str(corpus),
+                       "--out-dir", str(run), *flags], message, run, capsys)
+
+    def test_flags_do_not_complete_the_model_section(self, corpus, tmp_path, capsys):
+        cfg = json.loads(Path(micro_config(tmp_path, pooling="multihead")).read_text())
+        cfg["model"]["heads"] = 3
+        path, run = write_config(tmp_path, **cfg), tmp_path / "run"
+        self._refused(["train", "--config", path, "--data", str(corpus), "--out-dir", str(run), "--heads", "2"],
+                      f"{path}: model: heads: 3 does not divide the value dimension 8", run, capsys)
 
 
 class TestModelDataMismatch:

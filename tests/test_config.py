@@ -2,14 +2,14 @@ import contextlib
 import copy
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import FrozenInstanceError, asdict, dataclass, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xvec import data
-from xvec.cli import main
+from xvec.cli import RunConfig, SynthSection, TrialsSection, main
 from xvec.config import from_json
 from xvec.errors import ConfigError
 from xvec.model import FrameLayerSpec, ModelConfig
@@ -183,3 +183,46 @@ class TestRunConfigErrors:
         rc, lines, cfg = run_train(workdir, replaced(path, value))
         assert rc == 1
         assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: {dotted(path)}: expected ")
+
+
+def built(value):
+    """Every dataclass instance in a built config, the config included."""
+    if is_dataclass(value):
+        yield value
+        for f in fields(value):
+            yield from built(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from built(item)
+
+
+class TestFrozen:
+    """A config exists only in checked form: every dataclass from_json builds
+    for a run config or a checkpoint is frozen, and replace checks again."""
+
+    # what replace must refuse, per type with rules of its own
+    INVALID = {data.SynthConfig: ("dim", 0), TrialsSection: ("enroll_per_speaker", -1),
+               TrainConfig: ("epochs", 0), ModelConfig: ("heads", 0)}
+
+    def configs(self):
+        return [from_json(RunConfig, BASE, "run.json"), from_json(ModelConfig, BASE["model"], "run.json: model")]
+
+    def test_every_type_is_frozen(self):
+        objs = [obj for cfg in self.configs() for obj in built(cfg)]
+        assert {type(obj) for obj in objs} == {RunConfig, SynthSection, data.SynthConfig, TrialsSection,
+                                              TrainConfig, ModelConfig, FrameLayerSpec}
+        for obj in objs:
+            name = fields(obj)[0].name
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+
+    def test_replace_checks_again(self):
+        checked = set()
+        for cfg in self.configs():
+            for obj in built(cfg):
+                if type(obj) in self.INVALID:
+                    name, value = self.INVALID[type(obj)]
+                    with pytest.raises(ConfigError, match=f"^{name}: "):
+                        replace(obj, **{name: value})
+                    checked.add(type(obj))
+        assert checked == set(self.INVALID)

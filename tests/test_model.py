@@ -80,26 +80,24 @@ class TestModelConfig:
         assert shapes["classifier.weight"] == (100, 512)
 
     def test_heads_must_divide_value_dim(self):
-        cfg = ModelConfig(
-            input_dim=20,
-            frame_layers=layers(
-                ((-2, -1, 0, 1, 2), 64), ((-2, 0, 2), 64), ((-3, 0, 3), 64),
-                ((0,), 64), ((0,), 192),
-            ),
-            pooling="multihead",
-            key_layer=4,
-            compat=[100],
-            heads=10,
-            utterance_layers=[64, 64],
-            num_speakers=32,
-        )
         with pytest.raises(ConfigError, match="heads"):
-            cfg.validate()
+            ModelConfig(
+                input_dim=20,
+                frame_layers=layers(
+                    ((-2, -1, 0, 1, 2), 64), ((-2, 0, 2), 64), ((-3, 0, 3), 64),
+                    ((0,), 64), ((0,), 192),
+                ),
+                pooling="multihead",
+                key_layer=4,
+                compat=[100],
+                heads=10,
+                utterance_layers=[64, 64],
+                num_speakers=32,
+            )
 
     def test_heads_must_divide_query_dim(self):
-        cfg = tiny_config("multihead", compat=[5, 5], heads=2)
         with pytest.raises(ConfigError, match="heads"):
-            cfg.validate()
+            tiny_config("multihead", compat=[5, 5], heads=2)
 
     def test_unknown_key_is_named(self):
         d = asdict(tiny_config())
@@ -125,7 +123,7 @@ class TestModelConfig:
     @pytest.mark.parametrize("key_layer", [-1, 4])
     def test_key_layer_error_gives_the_range(self, key_layer):
         with pytest.raises(ConfigError, match=rf"key_layer: must be in \[0, 3\], 0 = the last layer, got {key_layer}$"):
-            tiny_config("attention", key_layer=key_layer).validate()
+            tiny_config("attention", key_layer=key_layer)
 
     def test_validation_names_fields(self):
         cases = [
@@ -141,7 +139,7 @@ class TestModelConfig:
         ]
         for overrides, field in cases:
             with pytest.raises(ConfigError, match=field):
-                tiny_config(**overrides).validate()
+                tiny_config(**overrides)
 
 
 class TestBuild:
@@ -462,6 +460,22 @@ class TestCheckpoint:
         path = tmp_path / "m.xvm"
         save_model(model, path)
         return model, path
+
+    def test_layout(self):
+        """The parameters in order, each batch norm's running statistics
+        right after its beta, as the model's own arrays."""
+        model = build_model(tiny_config("multihead"), seed=0)
+
+        def block(name):
+            return [f"{name}.{part}" for part in ("weight", "bias", "bn.gamma", "bn.beta",
+                                                  "bn.running_mean", "bn.running_var")]
+
+        assert [name for name, _ in model.state_arrays()] == (
+            block("frame0") + block("frame1") + block("frame2") + block("compat0") + block("compat1")
+            + ["query", "utt0.weight", "utt0.bias", "classifier.weight", "classifier.bias"])
+        arrays = dict(model.state_arrays())
+        assert arrays["frame1.bn.running_var"] is model.frame_blocks[1].bn.running_var
+        assert arrays["compat1.bn.running_mean"] is model.pool.net.blocks[1][2].running_mean
 
     def test_round_trip_values(self, tmp_path):
         for pooling in ("stats", "attention", "multihead"):

@@ -72,15 +72,15 @@ class TestTrainConfig:
             (dict(weight_decay=-1.0), "weight_decay"),
             (dict(clip_norm=-0.5), "clip_norm"),
             (dict(batch_size=0), "batch_size"),
-            (dict(chunk_len=0), "chunk_len"),
+            (dict(chunk_len=1), "chunk_len"),
             (dict(epochs=0), "epochs"),
         ]
         for overrides, name in cases:
             with pytest.raises(ConfigError, match=name):
-                TrainConfig(**overrides).validate()
+                TrainConfig(**overrides)
 
     def test_zero_lr_is_legal(self):
-        TrainConfig(lr=0.0).validate()
+        TrainConfig(lr=0.0)
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="learning_rate"):
