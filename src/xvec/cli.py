@@ -142,6 +142,9 @@ def cmd_gen_data(args) -> int:
     train_cfg, eval_cfg, trials_cfg = cfg.synth.train, cfg.synth.eval, cfg.trials
     if eval_cfg is None and trials_cfg.enroll_per_speaker > 0:
         raise ConfigError(f"{args.config}: trials need a synth.eval section to draw from")
+    if eval_cfg is not None and trials_cfg.enroll_per_speaker >= eval_cfg.utts_per_speaker:
+        raise ConfigError(f"{args.config}: trials.enroll_per_speaker ({trials_cfg.enroll_per_speaker}) must be "
+                          f"below synth.eval.utts_per_speaker ({eval_cfg.utts_per_speaker}) to leave test segments")
     _require_out(args.out_dir, directory=True)
 
     if args.seed is not None:
@@ -282,16 +285,16 @@ def cmd_attn(args) -> int:
 def _tiny_config(pooling: str) -> ModelConfig:
     return ModelConfig(
         input_dim=4,
-        frame_layers=[
+        frame_layers=(
             FrameLayerSpec((-1, 0, 1), 6),
             FrameLayerSpec((-2, 0, 2), 6),
             FrameLayerSpec((0,), 8),
-        ],
+        ),
         pooling=pooling,
         key_layer=0 if pooling == "stats" else 2,
-        compat=[] if pooling == "stats" else [5, 4],
+        compat=() if pooling == "stats" else (5, 4),
         heads=2 if pooling == "multihead" else 1,
-        utterance_layers=[7],
+        utterance_layers=(7,),
         num_speakers=3,
     )
 

@@ -17,26 +17,33 @@ chunk.
 Inference processes one utterance per forward call through an
 InferencePlan and pools it as a batch of one through the same pooling
 call. With frozen running statistics a batch norm is a per-column affine
-map, and splicing only gathers columns, so each batch norm that feeds
-another affine (the next frame block's, the compatibility net's) is folded
-into that affine's weights. A plan holds only these folded affines; the
-model's own splices, leaky ReLUs and the two batch norms that feed
-pooling, on the values and on the compatibility output, run around them
-(the variance floor and the softmax are not affine).
+map, h * s + c, and splicing only gathers columns, so each batch norm that
+feeds another affine (the next frame block's, the compatibility net's) is
+folded into that affine's weights. The two that feed pooling run on no
+frame either. Pooling reads the last frame block before its batch norm: a
+weighted mean moves with the map, so the values batch norm runs on the
+pooled mean alone, and a weighted variance scales by s**2, which the plan
+applies before the variance floor. The last compatibility batch norm's
+scale multiplies the query, and its shift adds one constant to each head's
+logits, which the softmax over frames cancels. A plan holds the folded
+affines, the pooling with the folded query and s**2; the model's own
+splices and leaky ReLUs run around them.
 
 Neither path allocates its frame-level arrays once warm, apart from the
 float64 copy Model.forward makes of float32 features. The model owns a
 workspace for forward_batch and backward_batch that keeps only what the
 backward pass reads: per block its output, its normalized batch (which
 holds the affine result until batch norm writes it there) and its leaky
-ReLU mask; one splice buffer that every splicing block shares, and which
-the backward pass fills again for each block but the last; and the pooling
-work array. A plan owns a workspace sized to the longest utterance it has
-run: an array per layer, and one per width for the affine results its leaky
-ReLUs read. Each layer writes its result into a buffer of its workspace. A
-block's input gradient overwrites the block's input, which only its weight
-gradient still reads. What a call hands back (posteriors, embeddings,
-ForwardTrace fields) is a new array, never a view of a workspace.
+ReLU mask; and one buffer that every splicing block shares and pooling
+then takes as its work array, so the backward pass fills it again for each
+splicing block (a last block that splices leaves pooling a work array of
+its own: its backward reads both). A plan owns a workspace sized to the
+longest utterance it has run: an array per layer, and one per width for
+the affine results its leaky ReLUs read. Each layer writes its result into
+a buffer of its workspace. A block's input gradient overwrites the block's
+input, which only its weight gradient still reads. What a call hands back
+(posteriors, embeddings, ForwardTrace fields) is a new array, never a view
+of a workspace.
 
 The two workspaces are never held at once: training drops the model's
 (release_workspace) before each per-epoch accuracy sweep, whose plan then
@@ -70,6 +77,9 @@ class FrameLayerSpec:
     offsets: tuple[int, ...]
     width: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "offsets", tuple(self.offsets))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -80,9 +90,9 @@ class ModelConfig:
     frame_layers: tuple[FrameLayerSpec, ...]
     pooling: str = "stats"
     key_layer: int = 0  # 1-based; 0 means "last layer"
-    compat: list[int] = field(default_factory=list)  # widths, last entry is d_q
+    compat: tuple[int, ...] = ()  # widths, last entry is d_q
     heads: int = 1
-    utterance_layers: list[int] = field(default_factory=lambda: [512])
+    utterance_layers: tuple[int, ...] = (512,)
     num_speakers: int = 2
     embedding_tap: int = 0
 
@@ -103,6 +113,8 @@ class ModelConfig:
         return self.key_layer if self.key_layer else self.num_frame_layers
 
     def __post_init__(self) -> None:
+        for name in ("frame_layers", "compat", "utterance_layers"):  # a list passed in could change later
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.input_dim < 1:
             raise ConfigError(f"input_dim: must be >= 1, got {self.input_dim}")
         if not self.frame_layers:
@@ -154,15 +166,19 @@ class ForwardTrace:
     attention: np.ndarray | None = None  # h x T weights, None for stats pooling
 
 
+def _scale_shift(bn: BatchNorm):
+    """(s, c) of the inference batch norm, bn(h) = h * s + c per column."""
+    s = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + BN_EPSILON))
+    return s, bn.beta.value - bn.running_mean * s
+
+
 def _fold(bn: BatchNorm, affine: Affine) -> Affine:
     """affine(x) on x = bn(h) spliced, as one affine map of h spliced.
 
-    In inference mode bn(h) = h * s + c per column, and splicing copies
-    columns, so affine's input is h spliced times tile(s) plus tile(c), one
-    copy per splice offset.
+    Splicing copies columns, so affine's input is h spliced times tile(s)
+    plus tile(c), one copy per splice offset.
     """
-    s = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + BN_EPSILON))
-    c = bn.beta.value - bn.running_mean * s
+    s, c = _scale_shift(bn)
     copies = affine.din // bn.dim
     w = affine.weight.value
     return Affine(Parameter(affine.weight.name, w * np.tile(s, copies)),
@@ -171,13 +187,15 @@ def _fold(bn: BatchNorm, affine: Affine) -> Affine:
 
 @dataclass
 class InferencePlan:
-    """Model.inference_plan's folded affines, made from the parameters of
+    """Model.inference_plan's folded layers, made from the parameters of
     that moment, and the buffers its forwards reuse, sized to the longest
-    utterance seen. Model.forward runs them with the model's own splices,
-    leaky ReLUs and the two batch norms that feed pooling."""
+    utterance seen. Model.forward runs them with the model's own splices
+    and leaky ReLUs, and applies the values batch norm to the pooled mean."""
 
     frame: list  # folded Affine per frame block
     compat: list  # folded Affine per compat block; empty for stats pooling
+    pool: StatsPool | MultiHeadPool  # multihead: the query times the last compat batch norm's scale
+    var_scale: np.ndarray  # the values batch norm's scale squared, per value column
     workspace: _Workspace = field(default_factory=_Workspace, repr=False)
 
 
@@ -270,18 +288,22 @@ class Model:
         self._workspace = _Workspace()
 
     def inference_plan(self) -> InferencePlan:
-        """Fold each batch norm that feeds an affine into that affine; see
-        the module docstring. The plan copies the weights, so it goes stale
-        when a parameter or running statistic changes: build a new one."""
+        """Fold each batch norm into what it feeds; see the module
+        docstring. The plan copies the weights, so it goes stale when a
+        parameter or running statistic changes: build a new one."""
         blocks = self.frame_blocks
         frame = [blocks[0].affine] + [_fold(prev.bn, block.affine) for prev, block in zip(blocks, blocks[1:])]
         compat = []
-        if isinstance(self.pool, MultiHeadPool):
+        pool = self.pool
+        if isinstance(pool, MultiHeadPool):
             bn = blocks[self.config.effective_key_layer - 1].bn
-            for affine, _, next_bn in self.pool.net.blocks:
+            for affine, _, next_bn in pool.net.blocks:
                 compat.append(_fold(bn, affine))
                 bn = next_bn
-        return InferencePlan(frame, compat)
+            # bn's shift adds one constant to each head's logits, which the softmax cancels
+            query = Parameter(pool.query.name, _scale_shift(bn)[0] * pool.query.value)
+            pool = MultiHeadPool(pool.net, query, pool.heads)
+        return InferencePlan(frame, compat, pool, _scale_shift(blocks[-1].bn)[0] ** 2)
 
     def forward(self, features: np.ndarray, train: bool = False,
                 plan: InferencePlan | None = None) -> ForwardTrace:
@@ -314,18 +336,20 @@ class Model:
                             out=ws((act, "out"), t, affine.dout))
             if i == key_idx:
                 keys = h  # its batch norm is folded into plan.compat[0]
-        values = self.frame_blocks[-1].bn.forward(h, out=ws("values", t, h.shape[1]))
+        # pooling reads the last block before its batch norm, which moves
+        # the weighted mean with it and scales the weighted variance
         attention = None
-        work = ws("work", t, values.shape[1])
-        if isinstance(self.pool, StatsPool):
-            pooled, _ = self.pool.pool(values[None], work)
+        d_v = h.shape[1]
+        work = ws("work", t, d_v)
+        if isinstance(plan.pool, StatsPool):
+            pooled, _ = plan.pool.pool(h[None], work, plan.var_scale)
         else:
             c = keys
             for (_, act, _), affine in zip(self.pool.net.blocks, plan.compat):
                 c = act.forward(affine.forward(c, out=ws(("scratch", affine.dout), t, affine.dout)),
                                 out=ws((act, "out"), t, affine.dout))
-            c = self.pool.net.blocks[-1][2].forward(c, out=c)  # the last compat block's batch norm
-            pooled, (attention,), _ = self.pool.pool_from_compat(values[None], c[None], work)
+            pooled, (attention,), _ = plan.pool.pool_from_compat(h[None], c[None], work, plan.var_scale)
+        self.frame_blocks[-1].bn.forward(pooled[:, :d_v], out=pooled[:, :d_v])
         z = pooled
         preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
@@ -355,25 +379,29 @@ class Model:
         b, t, _ = x.shape
         ws = self._workspace
         key_idx = self.config.effective_key_layer - 1
+        d_v = self.config.value_dim
         h = x
-        # one splice buffer, as wide as the widest splice, serves every block
-        # that splices; backward_batch splices again into it what it needs
-        widest = max((block.affine.din for block in self.frame_blocks if block.splice.width_multiplier > 1),
-                     default=0)
+        # One buffer serves every block that splices, then pooling as its
+        # work array; backward_batch splices again into it what each block
+        # needs. A last block that splices reads its splice and the value
+        # gradient at once, so then pooling has a work array of its own.
+        splicing = [block.affine.din for block in self.frame_blocks if block.splice.width_multiplier > 1]
+        shared = self.frame_blocks[-1].splice.width_multiplier == 1
+        buffer = ws("spliced", b * t, max(splicing + ([d_v] if shared else []))).reshape(-1)
         frames = []  # per block: its (B, T, d) input, its splice buffer or None, its affine's input
         keys_flat = compat = None
         for i, block in enumerate(self.frame_blocks):
             cols = block.affine.din
             out = None
             if block.splice.width_multiplier > 1:
-                out = ws("spliced", b * t, widest).reshape(-1)[: b * t * cols].reshape(b, t, cols)
+                out = buffer[: b * t * cols].reshape(b, t, cols)
             spliced = block.splice.forward_batch(h, out).reshape(b * t, cols)
             frames.append((h, out, spliced))
             flat = _block_forward(block.affine, block.act, block.bn, spliced, train, ws)
             h = flat.reshape(b, t, flat.shape[1])
             if i == key_idx:
                 keys_flat = flat
-        work = ws("work", b * t, h.shape[2])
+        work = buffer[: b * t * d_v].reshape(b * t, d_v) if shared else ws("work", b * t, d_v)
         if isinstance(self.pool, StatsPool):
             z, pool_cache = self.pool.pool(h, work)
         else:
@@ -390,8 +418,8 @@ class Model:
         input gradient overwrites that block's input in the workspace: only
         the block's own weight gradient reads it after the pooling and
         compatibility net backward passes. The blocks that splice share one
-        buffer, so each but the last splices its input into it again before
-        its weight gradient reads it."""
+        buffer, which pooling may have used since, so each splices its input
+        into it again before its weight gradient reads it."""
         pool_cache, frames, compat = cache
         g = self.softmax.backward(d_posteriors)
         g = self.classifier.backward(g)
@@ -408,16 +436,13 @@ class Model:
         b, t, d_v = d_values.shape
         key_idx = self.config.effective_key_layer - 1
         g_flat = d_values.reshape(b * t, d_v)
-        resplice = False  # the last spliced block's splice is still in the buffer
         for layer in reversed(range(len(self.frame_blocks))):
             if d_keys_flat is not None and layer == key_idx:
                 g_flat += d_keys_flat
             block = self.frame_blocks[layer]
             h, buffer, spliced = frames[layer]
             if buffer is not None:
-                if resplice:  # a later block's splice overwrote this one's
-                    block.splice.forward_batch(h, out=buffer)
-                resplice = True
+                block.splice.forward_batch(h, out=buffer)
             # frame0's input gradient would be thrown away
             g_flat = _block_backward(block.affine, block.act, block.bn, g_flat, ws, spliced, input_grad=layer > 0)
             if layer:

@@ -274,8 +274,10 @@ class Splice:
             out = np.empty((b, t, len(self.offsets) * d))
         for o, cols, lo, hi in self._blocks(t, d):
             out[:, lo:hi, cols] = x[:, lo + o:hi + o]
-            out[:, :lo, cols] = x[:, :1]
-            out[:, hi:, cols] = x[:, t - 1:]
+            if lo:
+                out[:, :lo, cols] = x[:, :1]
+            if hi < t:
+                out[:, hi:, cols] = x[:, t - 1:]
         return out
 
     def forward(self, x: np.ndarray, out=None) -> np.ndarray:

@@ -15,7 +15,8 @@ Pooling is stateless: each pooling call returns a cache that the matching
 backward call takes back. Inference pools one utterance as a batch of one.
 A pooling call may be given a (B*T, d) ``work`` array, which it uses for
 the centred values and which the backward call overwrites with the value
-gradient it returns; without one, both allocate.
+gradient it returns; without one, both allocate. Inference may also pass a
+per-column variance scale (see _weighted_stats).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .nn import Affine, BatchNorm, LeakyReLU, Parameter, _block_backward, _block
 EPS_VAR = 1e-10
 
 
-def _weighted_stats(values: np.ndarray, alpha: np.ndarray, work=None):
+def _weighted_stats(values: np.ndarray, alpha: np.ndarray, work=None, var_scale=None):
     """Weighted mean and standard deviation over time, per chunk and head.
 
     values is (B, T, d) and alpha (B, h, T); head i pools the i-th of h
@@ -38,6 +39,12 @@ def _weighted_stats(values: np.ndarray, alpha: np.ndarray, work=None):
     plus the cache the backward pass needs. Both stats and attention
     pooling funnel through here so the uniform-weights case reduces to
     statistics pooling bit-for-bit.
+
+    A (d,) ``var_scale`` multiplies each column's variance before the floor
+    is added: the variance of the values times s per column is the values'
+    variance times s**2, so inference pools what a frozen batch norm reads
+    and applies that batch norm to the pooled statistics. The backward pass
+    takes no scale: training never passes one.
     """
     b, t, d = values.shape
     h = alpha.shape[1]
@@ -48,7 +55,10 @@ def _weighted_stats(values: np.ndarray, alpha: np.ndarray, work=None):
         work = work.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
     squares = np.subtract(v, mean, out=work)
     squares *= squares  # in place: no second (B, h, T, d/h) array
-    std = np.sqrt(a @ squares + EPS_VAR)
+    var = a @ squares
+    if var_scale is not None:
+        var *= var_scale.reshape(h, 1, d // h)
+    std = np.sqrt(var + EPS_VAR)
     out = np.concatenate([mean.reshape(b, d), std.reshape(b, d)], axis=1)
     # no (B, T, d) array beyond the values and work: the backward recomputes v - mean
     return out, (alpha, v, mean, std, work)
@@ -83,10 +93,10 @@ def _weighted_stats_backward(cache, grad_out: np.ndarray, weights: bool = True):
 class StatsPool:
     """Statistics pooling: uniform-weight mean and standard deviation."""
 
-    def pool(self, values: np.ndarray, work=None):
+    def pool(self, values: np.ndarray, work=None, var_scale=None):
         """Pool a (B, T, d) batch; returns ((B, 2d) pooled, cache)."""
         b, t, _ = values.shape
-        return _weighted_stats(values, np.full((b, 1, t), 1.0 / t), work)
+        return _weighted_stats(values, np.full((b, 1, t), 1.0 / t), work, var_scale)
 
     def pool_backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """(B, 2d) output gradient -> (B, T, d) value gradient."""
@@ -157,7 +167,7 @@ class MultiHeadPool:
         self.query = query
         self.heads = heads
 
-    def pool_from_compat(self, values: np.ndarray, compat: np.ndarray, work=None):
+    def pool_from_compat(self, values: np.ndarray, compat: np.ndarray, work=None, var_scale=None):
         """Head-split pooling of (B, T, d_v) values against (B, T, d_q)
         precomputed compatibility outputs.
 
@@ -168,7 +178,7 @@ class MultiHeadPool:
         b, t, d_q = compat.shape
         c = compat.reshape(b, t, h, d_q // h).transpose(0, 2, 1, 3)  # (B, h, T, d_q/h)
         alpha = softmax_rows((c @ self.query.value.reshape(h, d_q // h, 1))[..., 0])
-        pooled, ws_cache = _weighted_stats(values, alpha, work)
+        pooled, ws_cache = _weighted_stats(values, alpha, work, var_scale)
         return pooled, alpha, (ws_cache, c)
 
     def backward_from_compat(self, cache, grad_out: np.ndarray, out=None):

@@ -169,9 +169,10 @@ def test_workspace_holds_only_what_the_backward_pass_reads(pooling):
     blocks = [(blk.act, blk.bn) for blk in model.frame_blocks]
     if pooling != "stats":
         blocks += [(act, bn) for _, act, bn in model.pool.net.blocks]
-    expected = {"spliced", "work"} | {key for act, bn in blocks for key in ((bn, "out"), (bn, "x_hat"), (act, "keep"))}
-    widest = max(blk.affine.din for blk in model.frame_blocks if blk.splice.width_multiplier > 1)
-    size = n * widest * 8 + n * cfg.value_dim * 8 + sum(n * bn.dim * (8 + 8 + 1) for _, bn in blocks)
+    expected = {"spliced"} | {key for act, bn in blocks for key in ((bn, "out"), (bn, "x_hat"), (act, "keep"))}
+    # one buffer for the splices and pooling's work array
+    widest = max([cfg.value_dim] + [blk.affine.din for blk in model.frame_blocks if blk.splice.width_multiplier > 1])
+    size = n * widest * 8 + sum(n * bn.dim * (8 + 8 + 1) for _, bn in blocks)
     if pooling != "stats":
         expected.add((model.pool.net, "d_keys"))
         size += n * cfg.frame_layers[cfg.key_layer - 1].width * 8

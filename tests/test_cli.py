@@ -366,7 +366,7 @@ class TestTrainFlags:
                      "--epochs", "1"]) == 0
         model = load_model(run / "model.xvm")
         assert model.config.pooling == "attention"
-        assert model.config.compat == [5, 4]
+        assert model.config.compat == (5, 4)
 
     def test_same_seed_same_model_bytes(self, tmp_path):
         cfg = micro_config(tmp_path)
@@ -599,6 +599,14 @@ class TestRefusedBeforeWork:
         path, out = write_config(tmp_path, **cfg), tmp_path / "corpus"
         self._refused(["gen-data", "--config", path, "--out-dir", str(out)],
                       f"{path}: trials: enroll_per_speaker: must be >= 0, got -2", out, capsys)
+
+    def test_trial_count_leaves_no_test_segments(self, tmp_path, capsys):
+        cfg = json.loads(Path(micro_config(tmp_path)).read_text())
+        cfg["trials"]["enroll_per_speaker"] = 3  # the eval split has 3 utterances per speaker
+        path, out = write_config(tmp_path, **cfg), tmp_path / "corpus"
+        self._refused(["gen-data", "--config", path, "--out-dir", str(out)],
+                      f"{path}: trials.enroll_per_speaker (3) must be below synth.eval.utts_per_speaker (3) "
+                      "to leave test segments", out, capsys)
 
     def test_gen_data_checks_the_train_section(self, tmp_path, capsys):
         path, out = micro_config(tmp_path, epochs=0), tmp_path / "corpus"

@@ -115,7 +115,7 @@ class TestFromJson:
         d = {"input_dim": 3, "frame_layers": [{"offsets": [-1, 0], "width": 4}], "compat": [5]}
         cfg = from_json(ModelConfig, d, "m")
         assert cfg.frame_layers == (FrameLayerSpec((-1, 0), 4),)
-        assert cfg.compat == [5] and cfg.utterance_layers == [512]
+        assert cfg.compat == (5,) and cfg.utterance_layers == (512,)
 
     def test_unknown_and_missing_keys(self):
         with pytest.raises(ConfigError, match="^m: unknown key 'width2'$"):
@@ -215,6 +215,15 @@ class TestFrozen:
             name = fields(obj)[0].name
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, name, getattr(obj, name))
+
+    def test_sequences_passed_as_lists_are_stored_as_tuples(self):
+        spec = FrameLayerSpec([-1, 0, 1], 6)
+        cfg = ModelConfig(input_dim=3, frame_layers=[spec, FrameLayerSpec([0], 8)], pooling="multihead",
+                          key_layer=1, compat=[4], heads=2, utterance_layers=[7], num_speakers=3)
+        assert spec.offsets == (-1, 0, 1)
+        assert (cfg.frame_layers, cfg.compat, cfg.utterance_layers) == ((spec, FrameLayerSpec((0,), 8)), (4,), (7,))
+        with pytest.raises(AttributeError):
+            cfg.compat.append(3)  # would leave heads=2 not dividing the query dimension
 
     def test_replace_checks_again(self):
         checked = set()

@@ -18,6 +18,7 @@ from xvec.model import (
     load_model,
     save_model,
 )
+from xvec.nn import BatchNorm
 from xvec.pooling import StatsPool
 from xvec.train import Optimizer, TrainConfig, check_model_gradients, classification_accuracy, train_step
 
@@ -329,6 +330,45 @@ class TestFoldedForward:
         np.testing.assert_array_equal(given.posteriors, trace.posteriors)
         np.testing.assert_array_equal(given.pooled, trace.pooled)
 
+    @pytest.mark.parametrize("pooling", ["stats", "attention", "multihead"])
+    @pytest.mark.parametrize("gamma", ["negative", "zero", "mixed"])
+    @pytest.mark.parametrize("frames", [1, 2, 9, 40])
+    def test_pooling_batch_norms_of_any_scale(self, pooling, gamma, frames):
+        """The plan pools the values and the compatibility outputs before
+        their batch norms, which then act on the pooled statistics and the
+        query: a scale of either sign or zero must fold as well."""
+        model = build_model(tiny_config(pooling), seed=25)
+        rng = np.random.default_rng(frames)
+        randomize_batch_norms(model, rng)
+        norms = [model.frame_blocks[-1].bn]
+        if pooling != "stats":
+            norms.append(model.pool.net.blocks[-1][2])
+        for bn in norms:
+            g = bn.gamma.value
+            if gamma == "zero":
+                g[...] = 0.0
+            else:
+                g[...] = -np.abs(g)
+                if gamma == "mixed":
+                    g[::3] = 0.0
+                    g[1::3] *= -1.0
+        assert_matches_reference(model, rng.standard_normal((frames, 4)))
+
+    @pytest.mark.parametrize("pooling", ["stats", "attention", "multihead"])
+    def test_batch_norm_runs_on_the_pooled_mean_only(self, pooling, monkeypatch):
+        model = build_model(tiny_config(pooling), seed=26)
+        plan = model.inference_plan()
+        rows = []
+        forward = BatchNorm.forward
+
+        def spy(bn, x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return forward(bn, x, *args, **kwargs)
+
+        monkeypatch.setattr(BatchNorm, "forward", spy)
+        model.forward(np.random.default_rng(26).standard_normal((9, 4)), plan=plan)
+        assert rows == [1]
+
     def test_follows_a_train_step(self):
         model = build_model(tiny_config("multihead"), seed=22)
         rng = np.random.default_rng(22)
@@ -428,10 +468,19 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize("pooling", ["stats", "attention", "multihead"])
     def test_gradients_match_finite_differences(self, pooling):
+        self.assert_gradients_match(build_model(tiny_config(pooling), seed=13))
+
+    @pytest.mark.parametrize("pooling", ["stats", "multihead"])
+    def test_gradients_match_finite_differences_when_the_last_block_splices(self, pooling):
+        # pooling's work array cannot share the splice buffer then
+        frame_layers = layers(((-1, 0, 1), 6), ((-1, 0, 1), 8))
+        self.assert_gradients_match(build_model(tiny_config(pooling, frame_layers=frame_layers, key_layer=1), seed=13))
+
+    @staticmethod
+    def assert_gradients_match(model):
         from helpers import assert_grads_close, numeric_grad
         from xvec.nn import cross_entropy, cross_entropy_backward
 
-        model = build_model(tiny_config(pooling), seed=13)
         feats = np.random.default_rng(13).standard_normal((3, 5, 4))
         labels = np.array([0, 2, 1])
         running = {n: a for n, a in model.state_arrays() if "running" in n}
