@@ -215,7 +215,15 @@ def cmd_extract(args) -> int:
     _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
                  args.model, model.config.input_dim)
     plan = model.inference_plan()
-    embeddings = {utt.utt_id: model.extract_embedding(utt.features, plan) for utt in dataset.utterances}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a vector refused below
+        embeddings = {utt.utt_id: model.extract_embedding(utt.features, plan) for utt in dataset.utterances}
+        held = [np.isfinite(vec.astype(np.float32)).all() for vec in embeddings.values()]
+    if not all(held):  # finite weights and features can still overflow: name them
+        line = held.index(False) + 1
+        manifest = Path(args.data) / "manifest.tsv" if Path(args.data).is_dir() else Path(args.data)
+        rel = data._read_rows(manifest, "utt_id<TAB>speaker<TAB>path")[line - 1][2]
+        raise DataError(f"{manifest}:{line}: the embedding of {manifest.parent / rel} under {args.model} "
+                        f"is beyond float32's range")
     data.write_embeddings(args.out, embeddings)
     dim = next(iter(embeddings.values())).shape[0]
     print(f"wrote {len(embeddings)} embeddings (dim {dim}) to {args.out}")

@@ -12,6 +12,7 @@ import logging
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -243,13 +244,22 @@ def _read_rows(path, layout: str, what: str = "", key: int = 0, valid=None) -> l
     return rows
 
 
-def _write_rows(path, rows) -> None:
+def _write_rows(path, rows, what: str = "", key: int = 0) -> None:
     """Write a list of rows of string fields, one tab-joined line each. No
-    rows, a field holding a tab or a line break and one that is not valid
-    Unicode are refused before the file is opened, so every file written
-    reads back through _read_rows as the same rows."""
+    rows, a field holding a tab or a line break, one that is not valid
+    Unicode and a row whose first ``key`` fields repeat an earlier row's are
+    refused before the file is opened, so every file written reads back
+    through _read_rows (given the same ``what`` and ``key``) as the same
+    rows."""
     if not rows:
         raise DataError(f"{path}: refusing to write a file with no rows")
+    if key:
+        # Sorted whole, rows that share their first key fields are neighbours.
+        # A set of keys would build an object per row: for gen-data's 39k
+        # trials that left the heap 4 MB larger.
+        repeated = next((a[:key] for a, b in pairwise(sorted(rows)) if a[:key] == b[:key]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: refusing to write a repeated {what} ({', '.join(repeated)})")
     text = "".join(["\t".join(row) + "\n" for row in rows])
     if text.count("\t") + text.count("\n") != sum(map(len, rows)) or "\r" in text:  # a row of n fields has n breaks
         field = next(f for row in rows for f in row if "\t" in f or "\n" in f or "\r" in f)
@@ -270,8 +280,8 @@ def _encode(path, text: str, fields) -> bytes:
 
 def write_features(path, features: np.ndarray) -> None:
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise DataError(f"features must be 2-D, got shape {feats.shape}")
+    if feats.ndim != 2 or 0 in feats.shape:
+        raise DataError(f"{path}: refusing to write features of shape {feats.shape}, expected T x d with T, d >= 1")
     _write_binary(path, FEATURE_MAGIC, struct.pack("<II", *feats.shape), _float32(feats))
 
 
@@ -290,9 +300,13 @@ def write_embeddings(path, embeddings: dict) -> None:
     ids = [_encode(path, utt_id, [utt_id]) for utt_id in embeddings]
     if max(map(len, ids), default=0) > 0xFFFF:
         raise DataError(f"{path}: an utterance id is longer than the 65535 bytes the format allows")
+    vectors = [_float32(np.asarray(vec, dtype=np.float64)) for vec in embeddings.values()]
+    for utt_id, v in zip(embeddings, vectors):
+        if v.size != vectors[0].size:
+            raise DataError(f"{path}: refusing to write vector {utt_id!r} of {v.size} values, "
+                            f"the first has {vectors[0].size}")
     parts = [struct.pack("<I", len(embeddings))]
-    for raw, vec in zip(ids, embeddings.values()):
-        v = _float32(np.asarray(vec, dtype=np.float64))
+    for raw, v in zip(ids, vectors):
         parts += [struct.pack("<H", len(raw)), raw, struct.pack("<I", v.size), v]
     _write_binary(path, EMBEDDING_MAGIC, *parts)
 
@@ -307,11 +321,11 @@ def read_embeddings(path) -> dict:
         at = r.pos
         utt_id = r.take_text(id_len, "id")
         if utt_id in out:
-            raise r.error(f"duplicate id '{utt_id}' at byte {at}")
+            raise r.error(f"duplicate id {utt_id!r} at byte {at}")
         at = r.pos
         (dim,) = r.take("<I", "vector length")
         if first_dim not in (None, dim):
-            raise r.error(f"vector '{utt_id}' at byte {at} has {dim} values, the first record has {first_dim}")
+            raise r.error(f"vector {utt_id!r} at byte {at} has {dim} values, the first record has {first_dim}")
         first_dim = dim
         out[utt_id] = r.take_array("<f4", dim, "vector").astype(np.float64)
     r.finish()
@@ -342,13 +356,17 @@ def write_dataset(utterances, out_dir) -> list:
     the gate sidecar, so that a manifest names only files already written.
     The features held at a time are one block of WRITE_AHEAD_BYTES or more
     (see _drawn_ahead), whatever the number of utterances. A manifest and
-    gates left by an earlier write go first. Returns the (utt_id, speaker)
+    gates left by an earlier write go first. A repeated utterance id is
+    refused before its features are written. Returns the (utt_id, speaker)
     pairs written, in order."""
     out = Path(out_dir)
     for name in ("manifest.tsv", "gates.tsv"):
         (out / name).unlink(missing_ok=True)
-    manifest, gates = [], []
+    manifest, gates, ids = [], [], set()
     for utt in _drawn_ahead(utterances):
+        if utt.utt_id in ids:
+            raise DataError(f"{out / 'manifest.tsv'}: refusing to write a repeated utterance id ({utt.utt_id})")
+        ids.add(utt.utt_id)
         if not manifest:
             (out / "feats").mkdir(parents=True, exist_ok=True)
         rel = f"feats/{utt.utt_id}.xvf"
@@ -378,7 +396,8 @@ def load_dataset(manifest_path) -> Dataset:
                           valid=lambda row: set(row[1]) <= {"0", "1"})
         gates = {utt_id: np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0") for utt_id, bits in rows}
     utterances = []
-    rows = _read_rows(path, "utt_id<TAB>speaker<TAB>path", "utterance id", key=1)
+    rows = _read_rows(path, "utt_id<TAB>speaker<TAB>path", "utterance id", key=1,
+                      valid=lambda row: "\0" not in row[2])  # no file system takes a NUL in a path
     for lineno, (utt_id, speaker, rel) in enumerate(rows, 1):
         try:
             feats = read_features(root / rel)

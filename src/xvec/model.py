@@ -30,26 +30,20 @@ affines, the pooling with the folded query and s**2; the model's own
 splices and leaky ReLUs run around them.
 
 Neither path allocates its frame-level arrays once warm, apart from the
-float64 copy Model.forward makes of float32 features. The model owns a
-workspace for forward_batch and backward_batch that keeps only what the
-backward pass reads: per block its output, its normalized batch (which
-holds the affine result until batch norm writes it there) and its leaky
-ReLU mask; and one buffer that every splicing block shares and pooling
-then takes as its work array, so the backward pass fills it again for each
-splicing block (a last block that splices leaves pooling a work array of
-its own: its backward reads both). A plan owns a workspace sized to the
-longest utterance it has run: an array per layer, and one per width for
-the affine results its leaky ReLUs read. Each layer writes its result into
-a buffer of its workspace. A block's input gradient overwrites the block's
-input, which only its weight gradient still reads. What a call hands back
-(posteriors, embeddings, ForwardTrace fields) is a new array, never a view
-of a workspace.
-
-The two workspaces are never held at once: training drops the model's
-(release_workspace) before each per-epoch accuracy sweep, whose plan then
-fills its own, so a run's peak is the larger of the two, not their sum.
-The first step of the next epoch allocates the workspace again; that step
-took 4-32 ms longer than a warm one at B=32, T=150 on a 2-vCPU Xeon.
+float64 copy Model.forward makes of float32 features. Both draw them from
+one workspace the model owns, which keeps only what the backward pass
+reads: per block its output, its normalized batch (which holds the affine
+result until batch norm writes it there) and its leaky ReLU mask; and one
+buffer that every splicing block shares and pooling then takes as its work
+array, so the backward pass fills it again for each splicing block (a last
+block that splices leaves pooling a work array of its own: its backward
+reads both). An inference forward writes the folded affine's result where
+a step keeps the normalized batch and the leaky ReLU's where it keeps the
+output, so after a step the accuracy sweep runs in prefixes of the step's
+arrays. A block's input gradient overwrites the block's input, which only
+its weight gradient still reads. What a call hands back (posteriors,
+embeddings, ForwardTrace fields) is a new array, never a view of the
+workspace.
 """
 
 from __future__ import annotations
@@ -188,15 +182,14 @@ def _fold(bn: BatchNorm, affine: Affine) -> Affine:
 @dataclass
 class InferencePlan:
     """Model.inference_plan's folded layers, made from the parameters of
-    that moment, and the buffers its forwards reuse, sized to the longest
-    utterance seen. Model.forward runs them with the model's own splices
-    and leaky ReLUs, and applies the values batch norm to the pooled mean."""
+    that moment. Model.forward runs them with the model's own splices and
+    leaky ReLUs in the model's workspace, and applies the values batch norm
+    to the pooled mean."""
 
     frame: list  # folded Affine per frame block
     compat: list  # folded Affine per compat block; empty for stats pooling
     pool: StatsPool | MultiHeadPool  # multihead: the query times the last compat batch norm's scale
     var_scale: np.ndarray  # the values batch norm's scale squared, per value column
-    workspace: _Workspace = field(default_factory=_Workspace, repr=False)
 
 
 class _FrameBlock:
@@ -281,11 +274,18 @@ class Model:
 
     # -- forward / backward ---------------------------------------------------
 
-    def release_workspace(self) -> None:
-        """Drop the arrays of forward_batch and backward_batch; the next
-        forward_batch allocates them again. A forward_batch cache does not
-        outlive this."""
-        self._workspace = _Workspace()
+    def _buffers(self, rows: int):
+        """The flat splice buffer and pooling's (rows, d_v) work array, from
+        the workspace. One buffer serves every block that splices, then
+        pooling as its work array; backward_batch splices again into it what
+        each block needs. A last block that splices reads its splice and the
+        value gradient at once, so then pooling has a work array of its own."""
+        ws = self._workspace
+        d_v = self.config.value_dim
+        splicing = [block.affine.din for block in self.frame_blocks if block.splice.width_multiplier > 1]
+        shared = self.frame_blocks[-1].splice.width_multiplier == 1
+        buffer = ws("spliced", rows, max(splicing + ([d_v] if shared else []))).reshape(-1)
+        return buffer, buffer[: rows * d_v].reshape(rows, d_v) if shared else ws("work", rows, d_v)
 
     def inference_plan(self) -> InferencePlan:
         """Fold each batch norm into what it feeds; see the module
@@ -311,10 +311,10 @@ class Model:
 
         Inference (train=False) runs ``plan``, by default one built for this
         call; a loop over utterances builds it once with inference_plan()
-        and passes it in, which changes no result and reuses the plan's
-        buffers. train=True runs forward_batch on a batch of this one chunk:
-        batch norm uses the chunk's own frame statistics and updates the
-        running ones.
+        and passes it in, which changes no result. Either way the frame
+        layers run in the model's workspace. train=True runs forward_batch
+        on a batch of this one chunk: batch norm uses the chunk's own frame
+        statistics and updates the running ones.
         """
         x = as_matrix(features)
         if x.shape[1] != self.config.input_dim:
@@ -325,29 +325,31 @@ class Model:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
         if plan is None:
             plan = self.inference_plan()
-        ws = plan.workspace
+        ws = self._workspace
         t = x.shape[0]
+        buffer, work = self._buffers(t)
+
+        def folded(affine, act, bn, h):  # bn's arrays, as in a training step
+            y = affine.forward(h, out=ws((bn, "x_hat"), t, affine.dout))
+            return act.forward(y, out=ws((bn, "out"), t, affine.dout))
+
         key_idx = self.config.effective_key_layer - 1
         h = x
         for i, (block, affine) in enumerate(zip(self.frame_blocks, plan.frame)):
-            splice, act = block.splice, block.act
-            h = splice.forward(h, out=ws((splice, "out"), t, affine.din) if splice.width_multiplier > 1 else None)
-            h = act.forward(affine.forward(h, out=ws(("scratch", affine.dout), t, affine.dout)),
-                            out=ws((act, "out"), t, affine.dout))
+            spliced = buffer[: t * affine.din].reshape(t, affine.din) if block.splice.width_multiplier > 1 else None
+            h = folded(affine, block.act, block.bn, block.splice.forward(h, out=spliced))
             if i == key_idx:
                 keys = h  # its batch norm is folded into plan.compat[0]
         # pooling reads the last block before its batch norm, which moves
         # the weighted mean with it and scales the weighted variance
         attention = None
         d_v = h.shape[1]
-        work = ws("work", t, d_v)
         if isinstance(plan.pool, StatsPool):
             pooled, _ = plan.pool.pool(h[None], work, plan.var_scale)
         else:
             c = keys
-            for (_, act, _), affine in zip(self.pool.net.blocks, plan.compat):
-                c = act.forward(affine.forward(c, out=ws(("scratch", affine.dout), t, affine.dout)),
-                                out=ws((act, "out"), t, affine.dout))
+            for (_, act, bn), affine in zip(self.pool.net.blocks, plan.compat):
+                c = folded(affine, act, bn, c)
             pooled, (attention,), _ = plan.pool.pool_from_compat(h[None], c[None], work, plan.var_scale)
         self.frame_blocks[-1].bn.forward(pooled[:, :d_v], out=pooled[:, :d_v])
         z = pooled
@@ -366,8 +368,8 @@ class Model:
         pooling stay per chunk, and one pooling call covers the batch.
         Returns (posteriors (B, K), cache); hand the cache back to
         backward_batch. Frame-level results and caches live in the model's
-        workspace, so a call overwrites the previous call's; the posteriors
-        are a new array.
+        workspace, so the cache is valid until the model's next forward_batch
+        or forward, which write there; the posteriors are a new array.
         """
         x = np.asarray(chunks, dtype=np.float64)
         if x.ndim != 3:
@@ -379,15 +381,8 @@ class Model:
         b, t, _ = x.shape
         ws = self._workspace
         key_idx = self.config.effective_key_layer - 1
-        d_v = self.config.value_dim
+        buffer, work = self._buffers(b * t)
         h = x
-        # One buffer serves every block that splices, then pooling as its
-        # work array; backward_batch splices again into it what each block
-        # needs. A last block that splices reads its splice and the value
-        # gradient at once, so then pooling has a work array of its own.
-        splicing = [block.affine.din for block in self.frame_blocks if block.splice.width_multiplier > 1]
-        shared = self.frame_blocks[-1].splice.width_multiplier == 1
-        buffer = ws("spliced", b * t, max(splicing + ([d_v] if shared else []))).reshape(-1)
         frames = []  # per block: its (B, T, d) input, its splice buffer or None, its affine's input
         keys_flat = compat = None
         for i, block in enumerate(self.frame_blocks):
@@ -401,7 +396,6 @@ class Model:
             h = flat.reshape(b, t, flat.shape[1])
             if i == key_idx:
                 keys_flat = flat
-        work = buffer[: b * t * d_v].reshape(b * t, d_v) if shared else ws("work", b * t, d_v)
         if isinstance(self.pool, StatsPool):
             z, pool_cache = self.pool.pool(h, work)
         else:

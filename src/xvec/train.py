@@ -188,7 +188,6 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
                     log_file.write(json.dumps(
                         {"step": step, "loss": loss, "grad_norm": norm, **group_norms,
                          "clipped": 0.0 < cfg.clip_norm < norm, "lr": cfg.lr, "epoch": epoch}) + "\n")
-            model.release_workspace()  # the sweep's buffers do not stack on the step's
             acc = classification_accuracy(model, dataset)
             report.epoch_accuracies.append(acc)
             log.info("epoch %d: loss %.4f, train accuracy %.4f",

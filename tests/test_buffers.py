@@ -1,10 +1,10 @@
 """Buffer reuse and memory footprint: after a warm-up, a train step and a
-plan forward allocate almost nothing; a reused workspace gives the same bits
-as fresh arrays and holds only what the backward pass reads; what a call
-hands back shares no memory with a later call; a layer given out= buffers
-computes the same bits as without them; a step after the workspace is
-released gives the same bits; and gen-data's memory does not grow with the
-corpus."""
+plan forward allocate almost nothing; a plan forward after a step runs in
+the step's arrays; a reused workspace gives the same bits as fresh arrays,
+plan forwards between steps included, and holds only what the backward
+pass reads; what a call hands back shares no memory with a later call; a
+layer given out= buffers computes the same bits as without them; and
+gen-data's memory does not grow with the corpus."""
 
 import copy
 import json
@@ -82,6 +82,23 @@ def test_plan_forward_of_a_shorter_utterance_allocates_within_budget(pooling):
 
 
 @pytest.mark.parametrize("pooling", POOLINGS)
+def test_plan_forward_after_a_step_runs_in_the_step_arrays(pooling):
+    """The first plan forward after a train step of B*T rows, on an
+    utterance of B*T frames, takes prefixes of the step's arrays: it
+    neither adds nor replaces one."""
+    model = build_model(config(pooling), seed=1)
+    optimizer = Optimizer(model.parameters(), TrainConfig())
+    rng = np.random.default_rng(1)
+    train_step(model, optimizer, rng.standard_normal((8, 32, 4)), rng.integers(0, 3, size=8), step=1)
+    before = dict(model._workspace._arrays)
+    plan = model.inference_plan()
+    utterance = rng.standard_normal((8 * 32, 4))
+    assert peak_allocation(lambda: model.forward(utterance, plan=plan)) < PLAN_BUDGET
+    assert model._workspace._arrays.keys() == before.keys()
+    assert all(model._workspace._arrays[key] is a for key, a in before.items())
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
 def test_float32_features_give_the_bits_of_their_float64_widening(pooling):
     model = build_model(config(pooling), seed=4)
     plan = model.inference_plan()
@@ -142,7 +159,9 @@ def test_reused_workspace_matches_fresh_arrays_step_by_step(pooling):
     """A model steps on one batch, a new batch, then shorter chunks; each
     step matches a copy of the model that runs only that step on arrays of
     its own. Blocks that splice share one buffer, so the backward pass must
-    splice each block's input again before its weight gradient."""
+    splice each block's input again before its weight gradient. Between
+    steps a plan forward of more frames than a step has rows grows the
+    arrays the steps then run in."""
     model = build_model(config(pooling), seed=4)
     optimizer = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
     rng = np.random.default_rng(4)
@@ -153,6 +172,7 @@ def test_reused_workspace_matches_fresh_arrays_step_by_step(pooling):
         for got, want in zip(batch_step(model, feats, labels), batch_step(reference, feats, labels), strict=True):
             assert_same_bits(got, want)
         optimizer.step()
+        model.forward(rng.standard_normal((5 * t + 20, 4)))
 
 
 @pytest.mark.parametrize("pooling", POOLINGS)
@@ -178,19 +198,6 @@ def test_workspace_holds_only_what_the_backward_pass_reads(pooling):
         size += n * cfg.frame_layers[cfg.key_layer - 1].width * 8
     assert set(arrays) == expected
     assert sum(a.nbytes for a in arrays.values()) == size
-
-
-@pytest.mark.parametrize("pooling", POOLINGS)
-def test_a_step_after_the_workspace_release_gives_the_same_bits(pooling):
-    released, kept = (build_model(config(pooling), seed=6) for _ in range(2))
-    rng = np.random.default_rng(6)
-    batches = [(rng.standard_normal((5, 16, 4)), rng.integers(0, 3, size=5)) for _ in range(2)]
-    for model in (released, kept):
-        batch_step(model, *batches[0])
-    released.release_workspace()
-    assert not released._workspace._arrays
-    for got, want in zip(batch_step(released, *batches[1]), batch_step(kept, *batches[1]), strict=True):
-        assert_same_bits(got, want)
 
 
 # One utterance length, so that every block gen-data draws ahead of its

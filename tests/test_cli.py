@@ -74,6 +74,17 @@ class TestHelpers:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_eval_leaves_numpy_ma_unloaded(self):
+        # numpy.ma loaded in the middle of eval pins the memory eval frees,
+        # so a later command in the same process peaks higher
+        code = ("import sys, numpy as np; from xvec.evaluation import compute_metrics; "
+                "compute_metrics(np.array([0.1, 0.4, 0.4, 0.9]), np.array([0, 1, 0, 1])); "
+                "print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(xvec.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestUsageAndConfigErrors:
     def test_missing_required_flag(self, capsys):
@@ -151,14 +162,16 @@ class TestUsageAndConfigErrors:
 
     def test_mixed_length_embeddings_are_exit_2(self, tmp_path, capsys):
         emb = tmp_path / "mixed.xve"
-        data.write_embeddings(emb, {"a": np.ones(3), "b": np.ones(4)})
+        data.write_embeddings(emb, {"a": np.ones(3), "b": np.ones(3)})  # the writer refuses two lengths
+        # b's length field follows the header (8), a's record (2+1+4+12) and b's id (2+1)
+        blob = emb.read_bytes()
+        emb.write_bytes(blob[:30] + struct.pack("<I", 4) + blob[34:] + struct.pack("<f", 1.0))
         trials = tmp_path / "trials.tsv"
         trials.write_text("a\tb\ttarget\n")
         rc = main(["score", "--embeddings", str(emb), "--trials", str(trials),
                    "--out", str(tmp_path / "s.tsv")])
         err = capsys.readouterr().err.strip().splitlines()
         assert rc == 2
-        # b's length field follows the header (8), a's record (2+1+4+12) and b's id (2+1)
         assert err == [f"error: {emb}: vector 'b' at byte 30 has 4 values, the first record has 3"]
 
     def test_corrupt_model_is_exit_2(self, tmp_path, capsys):

@@ -220,6 +220,14 @@ class TestEmbeddingFiles:
         with pytest.raises(FormatError, match="duplicate id 'u' at byte 33"):
             read_embeddings(path)
 
+    def test_an_id_holding_a_line_break_is_quoted_on_one_line(self, tmp_path):
+        path = tmp_path / "e.xve"
+        write_embeddings(path, {"u\nv": np.ones(4), "w": np.ones(4)})
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00w", b"\x03\x00u\nv"))
+        with pytest.raises(FormatError) as e:
+            read_embeddings(path)
+        assert str(e.value) == f"{path}: duplicate id 'u\\nv' at byte 35"
+
     def test_overlong_id_rejected_before_writing(self, tmp_path):
         path = tmp_path / "e.xve"
         with pytest.raises(DataError, match="65535"):

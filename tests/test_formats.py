@@ -1,7 +1,7 @@
 """Properties of the three binary formats: .xvf features, .xve embeddings
 and .xvm checkpoints. Each round-trips; a cut, extended or non-finite
 file fails as a FormatError that names the byte where the format breaks,
-and no writer writes a value its reader rejects."""
+and no writer writes a value or a shape its reader rejects."""
 
 import re
 import struct
@@ -170,4 +170,21 @@ def test_writer_refuses_a_value_its_reader_rejects(fmt, bad, tmp_path):
     path = tmp_path / f"bad.{fmt}"
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write a non-finite value$"):
         FORMATS[fmt][1](path, holding(fmt, bad))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)])
+def test_write_features_refuses_a_shape_its_reader_rejects(tmp_path, shape):
+    path = tmp_path / "empty.xvf"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write features of shape "
+                                        f"{re.escape(str(shape))}, expected T x d with T, d >= 1$"):
+        write_features(path, np.zeros(shape))
+    assert not path.exists()
+
+
+def test_write_embeddings_refuses_vectors_of_two_lengths(tmp_path):
+    path = tmp_path / "mixed.xve"
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write vector 'b' of 3 values, "
+                                        f"the first has 2$"):
+        write_embeddings(path, {"a": [1, 2], "b": [1, 2, 3]})
     assert not path.exists()

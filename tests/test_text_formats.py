@@ -2,8 +2,8 @@
 enrollment maps and scores. Each round-trips through its public writer and
 reader, with LF or CRLF line ends, for ids holding any character but a tab,
 a line break or a lone surrogate; a repeated key fails naming its line and
-the first; no writer writes a field that would not read back, nor a file
-with no rows."""
+the first; no writer writes a field that would not read back, a repeated
+key, a trial without a label, nor a file with no rows."""
 
 import re
 import tempfile
@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xvec.data import Dataset, Utterance, _read_rows, _write_rows, load_dataset, write_dataset, write_embeddings
+from xvec.data import (Dataset, Utterance, _read_rows, _write_rows, load_dataset, write_dataset, write_embeddings,
+                       write_features)
 from xvec.errors import DataError, FormatError
 from xvec.evaluation import (Trial, read_enroll_map, read_scores, read_trials, write_enroll_map, write_scores,
                              write_trials)
@@ -25,6 +26,7 @@ OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r") | st.sampled_from(OTHER_BREAKS),
               max_size=5)
 FILE_IDS = IDS.filter(lambda s: "/" not in s and "\x00" not in s)  # an utterance id names its .xvf
+PATHS = IDS.filter(lambda s: "\x00" not in s)  # load_dataset refuses a NUL in a manifest path
 FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
 ENDINGS = pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
 PROPERTY = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -106,7 +108,7 @@ TEXT = {
     "trials": ("trials.tsv", read_trials, 2, "trial", st.tuples(IDS, IDS, st.sampled_from(["target", "nontarget"]))),
     "enroll": ("enroll.tsv", read_enroll_map, 2, "enrollment entry", st.tuples(IDS, IDS)),
     "scores": ("scores.tsv", read_scores, 2, "score", st.tuples(IDS, IDS, FLOAT32.map(repr))),
-    "manifest": ("manifest.tsv", read_dataset_file, 1, "utterance id", st.tuples(IDS, IDS, IDS)),
+    "manifest": ("manifest.tsv", read_dataset_file, 1, "utterance id", st.tuples(IDS, IDS, PATHS)),
     "gates": ("gates.tsv", read_dataset_file, 1, "utterance id", st.tuples(IDS, st.text("01", max_size=4))),
 }
 
@@ -192,3 +194,45 @@ def test_writer_refuses_no_rows(tmp_path, write, name):
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}: refusing to write a file with no rows$"):
         write(path)
     assert list(path.parent.iterdir()) == []
+
+
+# format -> a writer of rows drawn as TEXT draws them
+ROW_WRITERS = {
+    "trials": lambda path, rows: write_trials(path, [Trial(e, t, label == "target") for e, t, label in rows]),
+    "enroll": lambda path, rows: write_enroll_map(path, {spk: [u for s, u in rows if s == spk] for spk, _ in rows}),
+    "scores": lambda path, rows: write_scores(path, [(Trial(e, t), float(score)) for e, t, score in rows]),
+}
+
+
+@pytest.mark.parametrize("fmt", ROW_WRITERS)
+@PROPERTY
+@given(data=st.data())
+def test_writer_refuses_a_repeated_key(fmt, tmp_path, data):
+    name, _, key, what, row = TEXT[fmt]
+    rows = data.draw(st.lists(row, min_size=1, max_size=5, unique_by=lambda r: r[:key]))
+    first = rows[data.draw(st.integers(0, len(rows) - 1))]
+    rows.insert(data.draw(st.integers(0, len(rows))), first[:key] + data.draw(row)[key:])
+    path = tmp_path / name
+    message = f"{path}: refusing to write a repeated {what} ({', '.join(first[:key])})"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        ROW_WRITERS[fmt](path, rows)
+    assert not path.exists()
+
+
+def test_write_trials_refuses_a_trial_without_a_label(tmp_path):
+    path = tmp_path / "trials.tsv"
+    message = f"{path}: refusing to write trial (s0, u1) without a label"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        write_trials(path, [Trial("s0", "u0", True), Trial("s0", "u1")])
+    assert not path.exists()
+
+
+def test_write_dataset_refuses_a_repeated_id_before_its_features(tmp_path):
+    first, again = (Utterance("x", "s", np.full((2, 3), v)) for v in (1.0, 2.0))
+    write_features(tmp_path / "first.xvf", first.features)
+    message = f"{tmp_path / 'manifest.tsv'}: refusing to write a repeated utterance id (x)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        write_dataset([first, again], tmp_path)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["feats", "feats/x.xvf",
+                                                                                       "first.xvf"]
+    assert (tmp_path / "feats" / "x.xvf").read_bytes() == (tmp_path / "first.xvf").read_bytes()

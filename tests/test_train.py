@@ -1,6 +1,5 @@
 import importlib
 import json
-import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -325,25 +324,23 @@ class TestTrainLoop:
         final = load_model(tmp_path / "epoch-002.xvm")
         assert final.config.num_speakers == 3
 
-    def test_sweep_runs_with_the_step_workspace_freed(self, monkeypatch):
-        """train() drops the step workspace before each accuracy sweep, and
-        nothing else keeps the workspace's memory alive through the sweep."""
+    def test_sweep_runs_in_the_step_workspace(self, monkeypatch):
+        """Each accuracy sweep starts with the arrays the epoch's steps left
+        in the model's workspace and neither adds nor replaces one."""
         model = tiny_model("multihead")
-        buffers, freed = [], []
-
-        def step(*args):
-            result = train_step(*args)
-            buffers[:] = [weakref.ref(a.base) for a in model._workspace._arrays.values()]
-            return result
+        kept = []
 
         def sweep(*args):
-            freed.append(bool(buffers) and all(ref() is None for ref in buffers))
-            return classification_accuracy(*args)
+            before = dict(model._workspace._arrays)
+            result = classification_accuracy(*args)
+            arrays = model._workspace._arrays
+            kept.append(bool(before) and arrays.keys() == before.keys()
+                        and all(arrays[key] is a for key, a in before.items()))
+            return result
 
-        monkeypatch.setattr(train_module, "train_step", step)
         monkeypatch.setattr(train_module, "classification_accuracy", sweep)
         train(model, self._dataset(), self._cfg())
-        assert freed == [True, True]
+        assert kept == [True, True]
 
     def test_report_bookkeeping(self):
         ds = self._dataset()
