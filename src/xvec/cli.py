@@ -51,6 +51,8 @@ class TrialsSection:
     def __post_init__(self) -> None:
         if self.enroll_per_speaker < 0:
             raise ConfigError(f"enroll_per_speaker: must be >= 0, got {self.enroll_per_speaker}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -145,13 +147,12 @@ def cmd_gen_data(args) -> int:
     if eval_cfg is not None and trials_cfg.enroll_per_speaker >= eval_cfg.utts_per_speaker:
         raise ConfigError(f"{args.config}: trials.enroll_per_speaker ({trials_cfg.enroll_per_speaker}) must be "
                           f"below synth.eval.utts_per_speaker ({eval_cfg.utts_per_speaker}) to leave test segments")
-    _require_out(args.out_dir, directory=True)
-
     if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
+        train_cfg = _override(train_cfg, {"--seed": ("seed", args.seed)})
         if eval_cfg is not None:
             eval_cfg = replace(eval_cfg, seed=args.seed + 1)
         trials_cfg = replace(trials_cfg, seed=args.seed + 2)
+    _require_out(args.out_dir, directory=True)
 
     out = Path(args.out_dir)
     written = {}  # split -> its (utt_id, speaker) pairs
@@ -263,8 +264,12 @@ def cmd_eval(args) -> int:
     if any(v is not None for v in custom):
         if any(v is None for v in custom):
             raise ConfigError("--p-target, --c-miss and --c-fa must be given together")
+        try:
+            min_dcf = evaluation.compute_min_dcf(values, labels, *custom)
+        except ConfigError as e:
+            raise ConfigError(f"--p-target, --c-miss, --c-fa: {e}") from None
         extra = {
-            "min_dcf_custom": evaluation.compute_min_dcf(values, labels, *custom),
+            "min_dcf_custom": min_dcf,
             "custom_p_target": args.p_target,
             "custom_c_miss": args.c_miss,
             "custom_c_fa": args.c_fa,
@@ -282,9 +287,12 @@ def cmd_attn(args) -> int:
     features = data.read_features(args.utt)
     _require_fit(args.utt, "feature columns", features.shape[1], args.model, model.config.input_dim)
     try:
-        max_weights, _ = evaluation.attention_trajectory(model, features)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a row refused below
+            max_weights, weights = evaluation.attention_trajectory(model, features)
     except ConfigError as e:  # a model without attention
         raise ConfigError(f"{args.model}: {e}") from None
+    if not np.isfinite(weights).all():  # finite weights and features can still overflow: name them
+        raise DataError(f"{args.utt}: the attention under {args.model} is not finite")
     evaluation.write_trajectory(args.out, max_weights)
     print(f"wrote {max_weights.shape[0]} frames to {args.out}")
     return 0
@@ -310,6 +318,8 @@ def _tiny_config(pooling: str) -> ModelConfig:
 def cmd_gradcheck(args) -> int:
     if args.frames < 2:  # train-mode batch norm needs two frames to normalize
         raise ConfigError(f"--frames: must be >= 2, got {args.frames}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
     if args.config:
         cfg = load_run_config(args.config)
         if cfg.model is None:

@@ -58,6 +58,8 @@ class SynthConfig:
                 raise ConfigError(f"{name}: must be in (0, 1), got {p}")
         if self.sigma <= 0.0:
             raise ConfigError(f"sigma: must be > 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -434,12 +436,8 @@ def make_batches(dataset: Dataset, chunk_len: int, batch_size: int, seed):
 
     features has shape (B, chunk_len, dim); the chunks are meant to be
     forwarded independently, one pooled utterance each. Deterministic in
-    the seed.
+    the seed. chunk_len and batch_size come checked, from a TrainConfig.
     """
-    if chunk_len < 1:
-        raise ConfigError(f"chunk_len must be >= 1, got {chunk_len}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset.utterances))
     for start in range(0, len(order), batch_size):

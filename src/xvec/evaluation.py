@@ -131,8 +131,8 @@ def compute_min_dcf(scores, labels, p_target: float, c_miss: float, c_fa: float)
     """Minimum normalized detection cost over all thresholds."""
     if not 0.0 < p_target < 1.0:
         raise ConfigError(f"p_target: must be in (0, 1), got {p_target}")
-    if c_miss <= 0 or c_fa <= 0:
-        raise ConfigError(f"costs must be > 0, got c_miss={c_miss}, c_fa={c_fa}")
+    if not (0.0 < c_miss < math.inf and 0.0 < c_fa < math.inf):  # NaN fails every comparison
+        raise ConfigError(f"costs must be finite and > 0, got c_miss={c_miss}, c_fa={c_fa}")
     p_miss, p_fa = _error_curves(scores, labels)
     dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
     return float(dcf.min() / min(c_miss * p_target, c_fa * (1.0 - p_target)))

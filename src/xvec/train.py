@@ -12,6 +12,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -62,42 +63,44 @@ class TrainConfig:
             raise ConfigError(f"chunk_len: must be >= 2, got {self.chunk_len}")
         if self.epochs < 1:
             raise ConfigError(f"epochs: must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
 
 
 class Optimizer:
-    """Adam or SGD-with-momentum over a fixed parameter list, with optional
-    global gradient-norm clipping and decoupled-from-nothing plain L2 decay
-    folded into the gradient."""
+    """Adam or SGD-with-momentum over fixed named parameter groups, with
+    optional global gradient-norm clipping and decoupled-from-nothing plain
+    L2 decay folded into the gradient. ``t`` counts the steps taken."""
 
-    def __init__(self, params, cfg: TrainConfig):
-        self.params = list(params)
+    def __init__(self, groups: dict, cfg: TrainConfig):
+        self.groups = groups
+        self.params = [p for params in groups.values() for p in params]
         self.cfg = cfg
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
-        self.grad_squares = [0.0] * len(self.params)  # per parameter, as the last global_grad_norm summed them
 
-    def global_grad_norm(self) -> float:
-        self.grad_squares = [float(np.sum(p.grad * p.grad)) for p in self.params]
-        total = 0.0
-        for square in self.grad_squares:
-            total += square
-        return float(np.sqrt(total))
-
-    def group_norms(self, groups: dict) -> dict:
-        """The gradient norm of each named list of parameters, from the
-        squares the last global_grad_norm summed; 0.0 for an empty list."""
-        square = {id(p): sq for p, sq in zip(self.params, self.grad_squares)}
-        return {name: float(np.sqrt(np.sum([square[id(p)] for p in params]))) for name, params in groups.items()}
-
-    def step(self) -> float:
-        """Apply one update; returns the pre-clip global gradient norm."""
+    def step(self) -> dict:
+        """Apply one update, or refuse a non-finite gradient before any
+        parameter changes. Returns what the step measured: the pre-clip
+        global gradient norm, that of each group (0.0 for an empty one) and
+        whether the clip applied."""
         cfg = self.cfg
+        for group, params in self.groups.items():
+            for p in params:
+                if not np.all(np.isfinite(p.grad)):
+                    raise TrainingError(f"non-finite gradient in group '{group}' ({p.name}) at step {self.t + 1}")
         if cfg.weight_decay > 0:
             for p in self.params:
                 p.grad += cfg.weight_decay * p.value
-        norm = self.global_grad_norm()
-        if cfg.clip_norm > 0 and norm > cfg.clip_norm:
+        squares = {group: [float(np.sum(p.grad * p.grad)) for p in params] for group, params in self.groups.items()}
+        total = 0.0  # one square at a time, in parameter order: train_log.jsonl's bytes depend on the order
+        for square in chain.from_iterable(squares.values()):
+            total += square
+        norm = float(np.sqrt(total))
+        group_norms = {f"grad_norm_{group}": float(np.sqrt(np.sum(sq))) for group, sq in squares.items()}
+        clipped = 0.0 < cfg.clip_norm < norm
+        if clipped:
             scale = cfg.clip_norm / norm
             for p in self.params:
                 p.grad *= scale
@@ -116,26 +119,29 @@ class Optimizer:
                 m *= cfg.momentum
                 m += p.grad
                 p.value -= cfg.lr * m
-        return norm
+        return {"grad_norm": norm, **group_norms, "clipped": clipped}
 
 
-def train_step(model: Model, optimizer: Optimizer, features: np.ndarray,
-               labels: np.ndarray, step: int) -> tuple[float, float]:
-    """One batched forward/backward (batch norm statistics span the whole
-    batch, losses and pooling stay per chunk) and one optimizer update.
-    Returns the mean cross entropy over the chunks and the pre-clip global
-    gradient norm."""
+def _backprop(model: Model, features: np.ndarray, labels, where: str) -> float:
+    """Zero the gradients, forward the batch in training mode and
+    backpropagate the mean cross entropy over its chunks, which must be
+    finite (else the error names ``where``). Returns that loss."""
     model.zero_grad()
     labels = np.asarray(labels)
     posteriors, cache = model.forward_batch(features, train=True)
     loss = float(cross_entropy(posteriors, labels))
     if not np.isfinite(loss):
-        raise TrainingError(f"non-finite loss at step {step}")
+        raise TrainingError(f"non-finite loss {where}")
     model.backward_batch(cross_entropy_backward(posteriors, labels), cache)
-    for group, params in model.parameter_groups().items():
-        for p in params:
-            if not np.all(np.isfinite(p.grad)):
-                raise TrainingError(f"non-finite gradient in group '{group}' ({p.name}) at step {step}")
+    return loss
+
+
+def train_step(model: Model, optimizer: Optimizer, features: np.ndarray, labels: np.ndarray) -> tuple[float, dict]:
+    """One batched forward/backward (batch norm statistics span the whole
+    batch, losses and pooling stay per chunk) and one optimizer update.
+    Returns the mean cross entropy over the chunks and what the update
+    measured (Optimizer.step)."""
+    loss = _backprop(model, features, labels, f"at step {optimizer.t + 1}")
     return loss, optimizer.step()
 
 
@@ -172,22 +178,17 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig,
             f"classifies {model.config.num_speakers}")
     t0 = time.perf_counter()
     report = TrainReport()
-    optimizer = Optimizer(model.parameters(), cfg)
-    groups = model.parameter_groups()
+    optimizer = Optimizer(model.parameter_groups(), cfg)
     log_file = open(log_path, "w") if log_path is not None else None
-    step = 0
     try:
         for epoch in range(cfg.epochs):
             for feats, labels in make_batches(dataset, cfg.chunk_len, cfg.batch_size,
                                               seed=[cfg.seed, epoch]):
-                step += 1
-                loss, norm = train_step(model, optimizer, feats, labels, step)
+                loss, measured = train_step(model, optimizer, feats, labels)
                 report.step_losses.append(loss)
                 if log_file is not None:
-                    group_norms = {f"grad_norm_{name}": v for name, v in optimizer.group_norms(groups).items()}
                     log_file.write(json.dumps(
-                        {"step": step, "loss": loss, "grad_norm": norm, **group_norms,
-                         "clipped": 0.0 < cfg.clip_norm < norm, "lr": cfg.lr, "epoch": epoch}) + "\n")
+                        {"step": optimizer.t, "loss": loss, **measured, "lr": cfg.lr, "epoch": epoch}) + "\n")
             acc = classification_accuracy(model, dataset)
             report.epoch_accuracies.append(acc)
             log.info("epoch %d: loss %.4f, train accuracy %.4f",
@@ -247,7 +248,7 @@ def check_model_gradients(model: Model, features: np.ndarray, label: int) -> Gra
     differences for every scalar parameter.
 
     Both sides run the training path on a batch of this one chunk: the
-    analytic gradient comes from forward_batch and backward_batch, the
+    analytic gradient comes from train_step's own gradient sequence, the
     differences from Model.forward(train=True), which hands the chunk to
     forward_batch. Batch-norm running statistics are snapshotted and
     restored so the check leaves the model untouched.
@@ -259,11 +260,7 @@ def check_model_gradients(model: Model, features: np.ndarray, label: int) -> Gra
         trace = model.forward(features, train=True)
         return cross_entropy(trace.posteriors, labels)
 
-    model.zero_grad()
-    posteriors, cache = model.forward_batch(np.asarray(features)[None], train=True)
-    if not np.isfinite(cross_entropy(posteriors, labels)):
-        raise TrainingError("non-finite loss in gradient check")
-    model.backward_batch(cross_entropy_backward(posteriors, labels), cache)
+    _backprop(model, np.asarray(features)[None], labels, "in gradient check")
     analytic = {p.name: p.grad.copy() for p in model.parameters()}
 
     errors = {}

@@ -63,12 +63,12 @@ def arrays(trace):
 @pytest.mark.parametrize("pooling", POOLINGS)
 def test_steady_train_step_allocates_within_budget(pooling):
     model = build_model(config(pooling), seed=0)
-    optimizer = Optimizer(model.parameters(), TrainConfig())
+    optimizer = Optimizer(model.parameter_groups(), TrainConfig())
     rng = np.random.default_rng(0)
     feats = [rng.standard_normal((8, 128, 4)) for _ in range(2)]
     labels = rng.integers(0, 3, size=8)
-    train_step(model, optimizer, feats[0], labels, step=1)
-    assert peak_allocation(lambda: train_step(model, optimizer, feats[1], labels, step=2)) < STEP_BUDGET
+    train_step(model, optimizer, feats[0], labels)
+    assert peak_allocation(lambda: train_step(model, optimizer, feats[1], labels)) < STEP_BUDGET
 
 
 @pytest.mark.parametrize("pooling", POOLINGS)
@@ -87,9 +87,9 @@ def test_plan_forward_after_a_step_runs_in_the_step_arrays(pooling):
     utterance of B*T frames, takes prefixes of the step's arrays: it
     neither adds nor replaces one."""
     model = build_model(config(pooling), seed=1)
-    optimizer = Optimizer(model.parameters(), TrainConfig())
+    optimizer = Optimizer(model.parameter_groups(), TrainConfig())
     rng = np.random.default_rng(1)
-    train_step(model, optimizer, rng.standard_normal((8, 32, 4)), rng.integers(0, 3, size=8), step=1)
+    train_step(model, optimizer, rng.standard_normal((8, 32, 4)), rng.integers(0, 3, size=8))
     before = dict(model._workspace._arrays)
     plan = model.inference_plan()
     utterance = rng.standard_normal((8 * 32, 4))
@@ -163,7 +163,7 @@ def test_reused_workspace_matches_fresh_arrays_step_by_step(pooling):
     steps a plan forward of more frames than a step has rows grows the
     arrays the steps then run in."""
     model = build_model(config(pooling), seed=4)
-    optimizer = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
+    optimizer = Optimizer(model.parameter_groups(), TrainConfig(lr=1e-2))
     rng = np.random.default_rng(4)
     for t in (16, 16, 9):
         feats, labels = rng.standard_normal((5, t, 4)), rng.integers(0, 3, size=5)
@@ -179,11 +179,11 @@ def test_reused_workspace_matches_fresh_arrays_step_by_step(pooling):
 def test_workspace_holds_only_what_the_backward_pass_reads(pooling):
     cfg = config(pooling)
     model = build_model(cfg, seed=5)
-    optimizer = Optimizer(model.parameters(), TrainConfig())
+    optimizer = Optimizer(model.parameter_groups(), TrainConfig())
     rng = np.random.default_rng(5)
     b, t = 6, 20
     for step in (1, 2):
-        train_step(model, optimizer, rng.standard_normal((b, t, 4)), rng.integers(0, 3, size=b), step)
+        train_step(model, optimizer, rng.standard_normal((b, t, 4)), rng.integers(0, 3, size=b))
     arrays = model._workspace._arrays
     n = b * t
     blocks = [(blk.act, blk.bn) for blk in model.frame_blocks]

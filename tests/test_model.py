@@ -375,8 +375,8 @@ class TestFoldedForward:
         randomize_batch_norms(model, rng)
         x = rng.standard_normal((9, 4))
         before = model.forward(x).posteriors
-        opt = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
-        train_step(model, opt, rng.standard_normal((4, 6, 4)), np.array([0, 1, 2, 0]), step=1)
+        opt = Optimizer(model.parameter_groups(), TrainConfig(lr=1e-2))
+        train_step(model, opt, rng.standard_normal((4, 6, 4)), np.array([0, 1, 2, 0]))
         after = assert_matches_reference(model, x).posteriors
         assert np.abs(after - before).max() > 1e-6
 

@@ -6,10 +6,12 @@ The command exits 0, or 1 or 2 with exactly one "error:" line that names
 the mutated file, and main's last-resort handler is never reached."""
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,30 +31,36 @@ CONFIG = {
     "train": {"lr": 0.01, "epochs": 1, "batch_size": 4, "chunk_len": 10, "seed": 0},
 }
 
-# mutated file -> the command that reads it, given the pipeline's root and a
-# fresh output directory
-READERS = {
-    "run.json": lambda r, o: ["train", "--config", f"{r}/run.json", "--data", f"{r}/corpus/train", "--out-dir", o],
-    "corpus/train/manifest.tsv": lambda r, o: ["extract", "--model", f"{r}/run/model.xvm",
-                                               "--data", f"{r}/corpus/train", "--out", f"{o}/x.xve"],
-    "corpus/train/gates.tsv": lambda r, o: ["extract", "--model", f"{r}/run/model.xvm",
-                                            "--data", f"{r}/corpus/train", "--out", f"{o}/x.xve"],
-    "corpus/train/feats/train-s0000-u0000.xvf": lambda r, o: ["extract", "--model", f"{r}/run/model.xvm",
-                                                               "--data", f"{r}/corpus/train", "--out", f"{o}/x.xve"],
-    "run/model.xvm": lambda r, o: ["extract", "--model", f"{r}/run/model.xvm",
-                                   "--data", f"{r}/corpus/eval", "--out", f"{o}/x.xve"],
-    "corpus/eval/feats/eval-s0000-u0000.xvf": lambda r, o: ["attn", "--model", f"{r}/run/model.xvm",
-                                                             "--utt", f"{r}/corpus/eval/feats/eval-s0000-u0000.xvf",
-                                                             "--out", f"{o}/attn.tsv"],
-    "eval.xve": lambda r, o: ["score", "--embeddings", f"{r}/eval.xve", "--trials", f"{r}/corpus/trials.tsv",
-                              "--enroll-map", f"{r}/corpus/enroll.tsv", "--out", f"{o}/scores.tsv"],
-    "corpus/enroll.tsv": lambda r, o: ["score", "--embeddings", f"{r}/eval.xve", "--trials", f"{r}/corpus/trials.tsv",
-                                       "--enroll-map", f"{r}/corpus/enroll.tsv", "--out", f"{o}/scores.tsv"],
-    "corpus/trials.tsv": lambda r, o: ["eval", "--scores", f"{r}/scores.tsv", "--trials", f"{r}/corpus/trials.tsv",
-                                       "--out", f"{o}/metrics.json"],
-    "scores.tsv": lambda r, o: ["eval", "--scores", f"{r}/scores.tsv", "--trials", f"{r}/corpus/trials.tsv",
-                                "--out", f"{o}/metrics.json"],
-}
+
+# Commands as argv templates: {r} is the pipeline's root, {o} an output
+# directory and {c} the run config.
+GEN_DATA = ("gen-data", "--config", "{c}", "--out-dir", "{o}/corpus")
+TRAIN = ("train", "--config", "{c}", "--data", "{r}/corpus/train", "--out-dir", "{o}/run")
+EXTRACT = {split: ("extract", "--model", "{r}/run/model.xvm", "--data", f"{{r}}/corpus/{split}",
+                   "--out", f"{{o}}/{split}.xve") for split in ("train", "eval")}
+ATTN = ("attn", "--model", "{r}/run/model.xvm", "--utt", "{r}/corpus/eval/feats/eval-s0000-u0000.xvf",
+        "--out", "{o}/attn.tsv")
+SCORE = ("score", "--embeddings", "{r}/eval.xve", "--trials", "{r}/corpus/trials.tsv",
+         "--enroll-map", "{r}/corpus/enroll.tsv", "--out", "{o}/scores.tsv")
+EVAL = ("eval", "--scores", "{r}/scores.tsv", "--trials", "{r}/corpus/trials.tsv", "--out", "{o}/metrics.json")
+# each mutated file and a command that reads it
+READERS = [
+    ("run.json", TRAIN),
+    ("corpus/train/manifest.tsv", EXTRACT["train"]),
+    ("corpus/train/gates.tsv", EXTRACT["train"]),
+    ("corpus/train/feats/train-s0000-u0000.xvf", EXTRACT["train"]),
+    ("run/model.xvm", EXTRACT["eval"]),
+    ("run/model.xvm", ATTN),
+    ("corpus/eval/feats/eval-s0000-u0000.xvf", ATTN),
+    ("eval.xve", SCORE),
+    ("corpus/enroll.tsv", SCORE),
+    ("corpus/trials.tsv", EVAL),
+    ("scores.tsv", EVAL),
+]
+
+
+def fill(argv, root, out, config=None):
+    return [arg.format(r=root, o=out, c=config or root / "run.json") for arg in argv]
 
 
 def run(argv):
@@ -67,17 +75,11 @@ def run(argv):
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("mutation")
     (root / "run.json").write_text(json.dumps(CONFIG, indent=1))
-    steps = [
-        ["gen-data", "--config", f"{root}/run.json", "--out-dir", f"{root}/corpus"],
-        READERS["run.json"](root, f"{root}/run"),
-        READERS["run/model.xvm"](root, str(root))[:-1] + [f"{root}/eval.xve"],
-        READERS["eval.xve"](root, str(root)),
-    ]
-    for argv in steps:
-        assert run(argv) == (0, "")
-    for name in READERS:  # every command reads its pristine file
+    for argv in (GEN_DATA, TRAIN, EXTRACT["eval"], SCORE):
+        assert run(fill(argv, root, root)) == (0, "")
+    for _, reader in READERS:  # every command reads its pristine file
         with tempfile.TemporaryDirectory() as out:
-            assert run(READERS[name](root, out)) == (0, "")
+            assert run(fill(reader, root, out)) == (0, "")
     return root
 
 
@@ -103,8 +105,9 @@ def mutations(draw, blob: bytes) -> bytes:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), name=st.sampled_from(sorted(READERS)))
-def test_a_mutated_input_fails_as_one_line_naming_it(pipeline, monkeypatch, data, name):
+@given(data=st.data(), name_reader=st.sampled_from(READERS))
+def test_a_mutated_input_fails_as_one_line_naming_it(pipeline, monkeypatch, data, name_reader):
+    name, reader = name_reader
     faults = []
     monkeypatch.setattr(cli.log, "debug", lambda *args, **kwargs: faults.append(args))
     path = pipeline / name
@@ -112,7 +115,7 @@ def test_a_mutated_input_fails_as_one_line_naming_it(pipeline, monkeypatch, data
     path.write_bytes(data.draw(mutations(pristine)))
     try:
         with tempfile.TemporaryDirectory() as out:
-            code, err = run(READERS[name](pipeline, out))
+            code, err = run(fill(reader, pipeline, out))
     finally:
         path.write_bytes(pristine)
     assert faults == []
@@ -130,7 +133,7 @@ def test_a_nul_byte_in_a_manifest_path_names_its_line(pipeline):
     manifest.write_bytes(pristine.replace(b"\tfeats/", b"\t\0feats/", 1))
     try:
         with tempfile.TemporaryDirectory() as out:
-            result = run(READERS["corpus/train/manifest.tsv"](pipeline, out))
+            result = run(fill(EXTRACT["train"], pipeline, out))
     finally:
         manifest.write_bytes(pristine)
     assert result == (2, f"error: {manifest}:1: expected 'utt_id<TAB>speaker<TAB>path'\n")
@@ -150,3 +153,82 @@ def test_an_embedding_beyond_float32_names_the_model_and_the_utterance(pipeline,
     assert result == (2, f"error: {manifest}:1: the embedding of {pipeline}/corpus/eval/feats/eval-s0000-u0000.xvf "
                          f"under {tmp_path / 'huge.xvm'} is beyond float32's range\n")
     assert not (tmp_path / "x.xve").exists()
+
+
+def test_attention_under_a_checkpoint_that_overflows(pipeline, tmp_path):
+    """attn runs the forward with overflow warnings off: attention that
+    stays finite is written (frame0 scaled by 1e200 overflows only the
+    pooled variance), and attention that does not is refused naming the
+    model and the utterance (the compatibility output and the query each
+    scaled by 1e160 overflow the logits)."""
+    utt = pipeline / "corpus/eval/feats/eval-s0000-u0000.xvf"
+    model = load_model(pipeline / "run/model.xvm")
+    model.frame_blocks[0].affine.weight.value[...] *= 1e200
+    save_model(model, tmp_path / "frames.xvm")
+    model = load_model(pipeline / "run/model.xvm")
+    model.pool.net.blocks[-1][0].weight.value[...] *= 1e160
+    model.pool.query.value[...] *= 1e160
+    save_model(model, tmp_path / "logits.xvm")
+
+    assert run(["attn", "--model", str(tmp_path / "frames.xvm"), "--utt", str(utt),
+                "--out", str(tmp_path / "frames.tsv")]) == (0, "")
+    assert np.isfinite(np.loadtxt(tmp_path / "frames.tsv", skiprows=1)).all()
+    assert run(["attn", "--model", str(tmp_path / "logits.xvm"), "--utt", str(utt),
+                "--out", str(tmp_path / "logits.tsv")]) == (
+        2, f"error: {utt}: the attention under {tmp_path / 'logits.xvm'} is not finite\n")
+    assert not (tmp_path / "logits.tsv").exists()
+
+
+COSTS = {"--p-target": "0.01", "--c-miss": "10", "--c-fa": "1"}
+
+
+def costs(flag, value):
+    return tuple(arg for f, v in COSTS.items() for arg in (f, value if f == flag else v))
+
+
+# (command, the config key it is given -1 in, the error it must print)
+BAD_NUMBERS = [
+    (GEN_DATA + ("--seed", "-1"), None, "--seed: seed: must be >= 0, got -1"),
+    (TRAIN + ("--seed", "-1"), None, "--seed: seed: must be >= 0, got -1"),
+    (TRAIN + ("--epochs", "-1"), None, "--epochs: epochs: must be >= 1, got -1"),
+    (TRAIN + ("--heads", "-1"), None, "--heads: heads: must be >= 1, got -1"),
+    (TRAIN + ("--key-layer", "-1"), None, "--key-layer: key_layer: must be in [0, 2], 0 = the last layer, got -1"),
+    (("gradcheck", "--seed", "-1"), None, "--seed: must be >= 0, got -1"),
+    (("gradcheck", "--frames", "-1"), None, "--frames: must be >= 2, got -1"),
+    (GEN_DATA, ("synth", "train", "seed"), "{c}: synth.train: seed: must be >= 0, got -1"),
+    (GEN_DATA, ("synth", "eval", "seed"), "{c}: synth.eval: seed: must be >= 0, got -1"),
+    (GEN_DATA, ("trials", "seed"), "{c}: trials: seed: must be >= 0, got -1"),
+    (TRAIN, ("train", "seed"), "{c}: train: seed: must be >= 0, got -1"),
+    *[(EVAL + costs("--p-target", value), None,
+       f"--p-target, --c-miss, --c-fa: p_target: must be in (0, 1), got {float(value)}")
+      for value in ("nan", "inf", "-1")],
+    *[(EVAL + costs("--c-miss", value), None,
+       f"--p-target, --c-miss, --c-fa: costs must be finite and > 0, got c_miss={float(value)}, c_fa=1.0")
+      for value in ("nan", "inf", "-1")],
+    *[(EVAL + costs("--c-fa", value), None,
+       f"--p-target, --c-miss, --c-fa: costs must be finite and > 0, got c_miss=10.0, c_fa={float(value)}")
+      for value in ("nan", "inf", "-1")],
+]
+
+
+@pytest.mark.parametrize("argv, key, message", BAD_NUMBERS)
+def test_a_bad_number_names_its_flag_or_key(pipeline, tmp_path, monkeypatch, argv, key, message):
+    """Numbers the mutation property cannot reach: each fails with exit 1
+    and one line naming its flag or key, and writes nothing."""
+    faults = []
+    monkeypatch.setattr(cli.log, "debug", lambda *args, **kwargs: faults.append(args))
+    config, out = pipeline / "run.json", tmp_path / "out"
+    if key is not None:
+        edited = copy.deepcopy(CONFIG)
+        section = edited
+        for name in key[:-1]:
+            section = section[name]
+        section[key[-1]] = -1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(edited))
+    out.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(fill(argv, pipeline, out, config))
+    assert (code, stderr.getvalue(), stdout.getvalue()) == (1, f"error: {message.format(c=config)}\n", "")
+    assert faults == [] and list(out.iterdir()) == []

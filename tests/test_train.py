@@ -94,7 +94,7 @@ class TestOptimizer:
     def test_adam_single_step_hand_value(self):
         p = one_param([1.0], [2.0])
         cfg = TrainConfig(optimizer="adam", lr=0.1, clip_norm=0.0)
-        Optimizer([p], cfg).step()
+        Optimizer({"g": [p]}, cfg).step()
         m_hat = (0.1 * 2.0) / (1.0 - 0.9)
         v_hat = (0.001 * 4.0) / (1.0 - 0.999)
         expected = 1.0 - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -103,7 +103,7 @@ class TestOptimizer:
     def test_sgd_momentum_two_steps(self):
         p = one_param([1.0], [1.0])
         cfg = TrainConfig(optimizer="sgd_momentum", lr=0.1, momentum=0.9, clip_norm=0.0)
-        opt = Optimizer([p], cfg)
+        opt = Optimizer({"g": [p]}, cfg)
         opt.step()
         np.testing.assert_allclose(p.value, [0.9], rtol=1e-15)
         p.grad = np.array([1.0])
@@ -115,20 +115,20 @@ class TestOptimizer:
         p = one_param([2.0], [0.0])
         cfg = TrainConfig(optimizer="sgd_momentum", lr=0.1, momentum=0.0,
                           weight_decay=0.5, clip_norm=0.0)
-        Optimizer([p], cfg).step()
+        Optimizer({"g": [p]}, cfg).step()
         np.testing.assert_allclose(p.value, [1.9], rtol=1e-15)
 
     def test_clip_rescales_to_cap(self):
         p = one_param([0.0, 0.0], [3.0, 4.0])
         cfg = TrainConfig(optimizer="sgd_momentum", lr=1.0, momentum=0.0, clip_norm=1.0)
-        norm = Optimizer([p], cfg).step()
-        assert norm == 5.0  # reported norm is pre-clip
+        measured = Optimizer({"g": [p]}, cfg).step()
+        assert measured == {"grad_norm": 5.0, "grad_norm_g": 5.0, "clipped": True}  # the norms are pre-clip
         np.testing.assert_allclose(p.value, [-0.6, -0.8], rtol=1e-15)
 
     def test_clip_zero_disables(self):
         p = one_param([0.0, 0.0], [3.0, 4.0])
         cfg = TrainConfig(optimizer="sgd_momentum", lr=1.0, momentum=0.0, clip_norm=0.0)
-        Optimizer([p], cfg).step()
+        Optimizer({"g": [p]}, cfg).step()
         np.testing.assert_allclose(p.value, [-3.0, -4.0], rtol=1e-15)
 
     def test_update_norm_bounded_by_lr_times_cap(self):
@@ -138,15 +138,41 @@ class TestOptimizer:
                       for _ in range(3)]
             before = [p.value.copy() for p in params]
             cfg = TrainConfig(optimizer="sgd_momentum", lr=0.01, momentum=0.0, clip_norm=2.0)
-            Optimizer(params, cfg).step()
+            Optimizer({"g": params}, cfg).step()
             update = np.sqrt(sum(np.sum((p.value - b) ** 2) for p, b in zip(params, before)))
             assert update <= 0.01 * 2.0 * (1 + 1e-12)
 
     def test_small_gradients_pass_unclipped(self):
         p = one_param([0.0], [0.5])
         cfg = TrainConfig(optimizer="sgd_momentum", lr=1.0, momentum=0.0, clip_norm=2.0)
-        Optimizer([p], cfg).step()
+        Optimizer({"g": [p]}, cfg).step()
         np.testing.assert_allclose(p.value, [-0.5], rtol=1e-15)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd_momentum"])
+    def test_non_finite_gradient_names_group_parameter_and_step(self, optimizer):
+        """The refusal comes before weight decay, the clip or any update:
+        every parameter, gradient and moment and the step count stay."""
+        model = tiny_model("multihead")
+        groups = model.parameter_groups()
+        opt = Optimizer(groups, TrainConfig(optimizer=optimizer, weight_decay=0.1, clip_norm=1e-3))
+        rng = np.random.default_rng(6)
+        for p in opt.params:
+            p.grad = rng.standard_normal(p.value.shape)
+        opt.step()
+        bad = groups["theta_k"][1]
+        bad.grad.flat[-1] = np.nan
+        before = snapshot(model)
+        grads = [p.grad.copy() for p in opt.params]
+        moments = [m.copy() for m in opt._m + opt._v]
+        with pytest.raises(TrainingError) as raised:
+            opt.step()
+        assert str(raised.value) == f"non-finite gradient in group 'theta_k' ({bad.name}) at step 2"
+        assert_state_equal(model, before)
+        for p, grad in zip(opt.params, grads):
+            np.testing.assert_array_equal(p.grad, grad, err_msg=p.name)
+        for m, saved in zip(opt._m + opt._v, moments):
+            np.testing.assert_array_equal(m, saved)
+        assert opt.t == 1
 
 
 class TestTrainStep:
@@ -159,10 +185,10 @@ class TestTrainStep:
         model = tiny_model()
         rng = np.random.default_rng(0)
         feats, labels = self._batch(rng)
-        opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
+        opt = Optimizer(model.parameter_groups(), TrainConfig(lr=0.0))
         before = [(n, a.copy()) for n, a in model.state_arrays()
                   if "running" not in n]
-        loss, _ = train_step(model, opt, feats, labels, step=1)
+        loss, _ = train_step(model, opt, feats, labels)
         assert np.isfinite(loss) and loss > 0
         for (name, expect), (got_name, got) in zip(
             before, ((n, a) for n, a in model.state_arrays() if "running" not in n)
@@ -177,9 +203,8 @@ class TestTrainStep:
         chunk = rng.standard_normal((8, 4))
         trace = model.forward(chunk, train=True)
         expected = -np.log(trace.posteriors[0, 2])
-        opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
-        loss, _ = train_step(model, opt, np.repeat(chunk[None], 3, axis=0),
-                             np.array([2, 2, 2]), step=1)
+        opt = Optimizer(model.parameter_groups(), TrainConfig(lr=0.0))
+        loss, _ = train_step(model, opt, np.repeat(chunk[None], 3, axis=0), np.array([2, 2, 2]))
         np.testing.assert_allclose(loss, expected, rtol=1e-12)
 
     def test_loss_averages_per_chunk_terms(self):
@@ -188,8 +213,8 @@ class TestTrainStep:
         feats, labels = self._batch(rng, n=3)
         posteriors, _ = model.forward_batch(feats, train=True)
         per_chunk = [-np.log(posteriors[i, labels[i]]) for i in range(3)]
-        opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
-        loss, _ = train_step(model, opt, feats, labels, step=1)
+        opt = Optimizer(model.parameter_groups(), TrainConfig(lr=0.0))
+        loss, _ = train_step(model, opt, feats, labels)
         np.testing.assert_allclose(loss, np.mean(per_chunk), rtol=1e-12)
 
     def test_repeated_batch_descends(self):
@@ -197,8 +222,8 @@ class TestTrainStep:
         rng = np.random.default_rng(2)
         feats, labels = self._batch(rng, n=4)
         cfg = TrainConfig(optimizer="sgd_momentum", lr=1e-3, momentum=0.0)
-        opt = Optimizer(model.parameters(), cfg)
-        losses = [train_step(model, opt, feats, labels, step=s)[0] for s in range(1, 11)]
+        opt = Optimizer(model.parameter_groups(), cfg)
+        losses = [train_step(model, opt, feats, labels)[0] for _ in range(10)]
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-6
 
@@ -207,10 +232,10 @@ class TestTrainStep:
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((1, 12, 4))
         labels = np.array([2])
-        opt = Optimizer(model.parameters(), TrainConfig(lr=1e-2))
+        opt = Optimizer(model.parameter_groups(), TrainConfig(lr=1e-2))
         loss = None
-        for s in range(1, 201):
-            loss, _ = train_step(model, opt, feats, labels, step=s)
+        for _ in range(200):
+            loss, _ = train_step(model, opt, feats, labels)
             if loss < 0.01:
                 break
         assert loss < 0.01
@@ -221,18 +246,19 @@ class TestTrainStep:
             rng = np.random.default_rng(4)
             frames = rng.standard_normal((2, 1, 4))
             feats = np.repeat(frames, 6, axis=1)  # every chunk one frame repeated
-            opt = Optimizer(model.parameters(), TrainConfig(lr=0.0))
-            train_step(model, opt, feats, np.array([0, 1]), step=1)
+            opt = Optimizer(model.parameter_groups(), TrainConfig(lr=0.0))
+            train_step(model, opt, feats, np.array([0, 1]))
             assert np.abs(model.pool.query.grad).max() < 1e-12
             assert np.abs(model.classifier.weight.grad).max() > 0
 
     def test_non_finite_loss_names_step(self):
         model = tiny_model()
         model.classifier.weight.value[...] = np.nan
-        opt = Optimizer(model.parameters(), TrainConfig())
+        opt = Optimizer(model.parameter_groups(), TrainConfig())
+        opt.t = 6  # six steps taken
         feats = np.zeros((1, 8, 4))
         with pytest.raises(TrainingError, match="step 7"):
-            train_step(model, opt, feats, np.array([0]), step=7)
+            train_step(model, opt, feats, np.array([0]))
 
 
 class TestTrainLoop:
@@ -310,11 +336,9 @@ class TestTrainLoop:
         assert records[0.0][0]["grad_norm"] == records[1e-6][0]["grad_norm"]
         model = tiny_model(seed=3)
         feats, labels = next(make_batches(ds, 10, 4, seed=[1, 0]))
-        opt = Optimizer(model.parameters(), TrainConfig(lr=0.0, clip_norm=0.0))
-        _, norm = train_step(model, opt, feats, labels, step=1)
-        assert records[0.0][0]["grad_norm"] == norm == opt.global_grad_norm()
-        group_norms = {f"grad_norm_{g}": v for g, v in opt.group_norms(model.parameter_groups()).items()}
-        assert group_norms == {k: v for k, v in records[0.0][0].items() if k.startswith("grad_norm_")}
+        opt = Optimizer(model.parameter_groups(), TrainConfig(lr=0.0, clip_norm=0.0))
+        _, measured = train_step(model, opt, feats, labels)
+        assert measured == {k: v for k, v in records[0.0][0].items() if k.startswith("grad_norm") or k == "clipped"}
 
     def test_checkpoints_every_epoch(self, tmp_path):
         ds = self._dataset()
