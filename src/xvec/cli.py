@@ -113,27 +113,6 @@ def _override(config, flags: dict):
         raise ConfigError(f"{', '.join(given)}: {e}") from None
 
 
-def _unscorable(args, embeddings: dict, trials: list, enroll_map: dict | None) -> DataError:
-    """The first enrollment row or trial score_trials refused, named by its
-    file and line, looked for in score_trials' order: the enrollment map,
-    then each trial's enroll id and test segment. _read_rows keeps one row
-    per line, in order."""
-    missing = f"has no embedding in {args.embeddings}"
-    enroll_map = enroll_map or {}
-    for spk, segments in enroll_map.items():
-        for seg in segments:
-            if seg not in embeddings:
-                line = data._read_rows(args.enroll_map, "speaker<TAB>segment").index([spk, seg]) + 1
-                return DataError(f"{args.enroll_map}:{line}: segment '{seg}' of speaker '{spk}' {missing}")
-    for line, t in enumerate(trials, 1):
-        if t.enroll not in enroll_map and t.enroll not in embeddings:
-            where = f"in neither {args.enroll_map} nor" if enroll_map else "not in"
-            return DataError(f"{args.trials}:{line}: enroll id '{t.enroll}' is {where} {args.embeddings}")
-        if t.test not in embeddings:
-            return DataError(f"{args.trials}:{line}: test segment '{t.test}' {missing}")
-    raise AssertionError("score_trials refused rows that all resolve")
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -238,8 +217,13 @@ def cmd_score(args) -> int:
     enroll_map = evaluation.read_enroll_map(args.enroll_map) if args.enroll_map else None
     try:
         scored = evaluation.score_trials(embeddings, trials, enroll_map)
-    except DataError:
-        raise _unscorable(args, embeddings, trials, enroll_map) from None
+    except evaluation.RowError as e:  # a trial's index, or an enrollment entry
+        if isinstance(e.row, int):
+            where = f"{args.trials}:{e.row + 1}"
+        else:  # _read_rows keeps one row per line, in order
+            rows = data._read_rows(args.enroll_map, "speaker<TAB>segment")
+            where = f"{args.enroll_map}:{rows.index(list(e.row)) + 1}"
+        raise DataError(f"{where}: {e.naming(embeddings=args.embeddings, enroll_map=args.enroll_map)}") from None
     evaluation.write_scores(args.out, scored)
     print(f"wrote {len(scored)} scores to {args.out}")
     return 0
@@ -252,9 +236,8 @@ def cmd_eval(args) -> int:
     trials = evaluation.read_trials(args.trials)
     try:
         values, labels = evaluation.join_scores_with_trials(scores, trials)
-    except DataError:  # read_trials labels every trial, so one has no score
-        line, t = next((n, t) for n, t in enumerate(trials, 1) if (t.enroll, t.test) not in scores)
-        raise DataError(f"{args.trials}:{line}: trial ({t.enroll}, {t.test}) has no score in {args.scores}") from None
+    except evaluation.RowError as e:
+        raise DataError(f"{args.trials}:{e.row + 1}: {e.naming(scores=args.scores)}") from None
     try:
         report = evaluation.compute_metrics(values, labels)
     except DataError as e:  # read_scores admits only finite scores, so the labels are of one class

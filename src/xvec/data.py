@@ -358,9 +358,10 @@ def write_dataset(utterances, out_dir) -> list:
     the gate sidecar, so that a manifest names only files already written.
     The features held at a time are one block of WRITE_AHEAD_BYTES or more
     (see _drawn_ahead), whatever the number of utterances. A manifest and
-    gates left by an earlier write go first. A repeated utterance id is
-    refused before its features are written. Returns the (utt_id, speaker)
-    pairs written, in order."""
+    gates left by an earlier write go first. A repeated utterance id, and a
+    gate that load_dataset would reject, are refused before the utterance's
+    features are written. Returns the (utt_id, speaker) pairs written, in
+    order."""
     out = Path(out_dir)
     for name in ("manifest.tsv", "gates.tsv"):
         (out / name).unlink(missing_ok=True)
@@ -369,14 +370,20 @@ def write_dataset(utterances, out_dir) -> list:
         if utt.utt_id in ids:
             raise DataError(f"{out / 'manifest.tsv'}: refusing to write a repeated utterance id ({utt.utt_id})")
         ids.add(utt.utt_id)
+        gate = None if utt.gate is None else np.asarray(utt.gate)
+        if gate is not None and gate.shape != (utt.num_frames,):
+            raise DataError(f"{out / 'gates.tsv'}: refusing to write a gate of shape {gate.shape} "
+                            f"for {utt.utt_id}, which has {utt.num_frames} frames")
+        if gate is not None and not ((gate == 0) | (gate == 1)).all():
+            raise DataError(f"{out / 'gates.tsv'}: refusing to write a gate value other than 0 or 1 for {utt.utt_id}")
         if not manifest:
             (out / "feats").mkdir(parents=True, exist_ok=True)
         rel = f"feats/{utt.utt_id}.xvf"
         write_features(out / rel, utt.features)
         manifest.append((utt.utt_id, utt.speaker, rel))
-        if utt.gate is not None:
+        if gate is not None:
             # "0" and "1" are bytes 48 and 49
-            gates.append((utt.utt_id, (np.asarray(utt.gate) + 48).astype(np.uint8).tobytes().decode()))
+            gates.append((utt.utt_id, (gate + 48).astype(np.uint8).tobytes().decode()))
     _write_rows(out / "manifest.tsv", manifest)
     if gates:
         _write_rows(out / "gates.tsv", gates)

@@ -31,6 +31,21 @@ class Trial:
     target: bool | None = None  # None when the label is not known
 
 
+class RowError(DataError):
+    """A row of evaluation's input that it refuses: ``row`` is the trial's
+    index or the enrollment entry (speaker, segment). The message names the
+    inputs by role, {embeddings}, {enroll_map} or {scores}; ``naming``
+    words it with other names for them, such as their files."""
+
+    def __init__(self, row, template: str, **ids):
+        self.row, self._template, self._ids = row, template, ids
+        super().__init__(self.naming(embeddings="the embeddings", enroll_map="the enrollment map",
+                                     scores="the scores"))
+
+    def naming(self, **inputs) -> str:
+        return self._template.format(**self._ids, **inputs)
+
+
 def length_normalize(vec: np.ndarray) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64)
     return v / max(float(np.linalg.norm(v)), NORM_FLOOR)
@@ -38,7 +53,7 @@ def length_normalize(vec: np.ndarray) -> np.ndarray:
 
 def enrollment_models(embeddings: dict, enroll_map: dict) -> dict:
     """Average each speaker's enrollment segment embeddings, then length
-    normalize. Raises when a mapped segment has no embedding."""
+    normalize. A mapped segment without an embedding is a RowError."""
     models = {}
     for spk, utt_ids in enroll_map.items():
         if not utt_ids:
@@ -46,7 +61,8 @@ def enrollment_models(embeddings: dict, enroll_map: dict) -> dict:
         vecs = []
         for utt_id in utt_ids:
             if utt_id not in embeddings:
-                raise DataError(f"enrollment segment '{utt_id}' (speaker '{spk}') has no embedding")
+                raise RowError((spk, utt_id), "segment '{seg}' of speaker '{spk}' has no embedding in {embeddings}",
+                               seg=utt_id, spk=spk)
             vecs.append(embeddings[utt_id])
         models[spk] = length_normalize(np.mean(vecs, axis=0))
     return models
@@ -56,20 +72,22 @@ def score_trials(embeddings: dict, trials: list, enroll_map: dict | None = None)
     """Cosine-score every trial; returns (trial, score) pairs in input order.
 
     The enroll field is resolved through enroll_map when given; a bare
-    segment id that has its own embedding also works.
+    segment id that has its own embedding also works. The first enrollment
+    entry, then the first trial, that does not resolve is a RowError.
     """
     models = enrollment_models(embeddings, enroll_map) if enroll_map else {}
     unit = {utt_id: length_normalize(vec) for utt_id, vec in embeddings.items()}
     scored = []
-    for trial in trials:
+    for i, trial in enumerate(trials):
         if trial.enroll in models:
             enroll_vec = models[trial.enroll]
         elif trial.enroll in unit:
             enroll_vec = unit[trial.enroll]
         else:
-            raise DataError(f"trial enroll id '{trial.enroll}' not in enrollment map or embeddings")
+            missing = "in neither {enroll_map} nor {embeddings}" if enroll_map else "not in {embeddings}"
+            raise RowError(i, "enroll id '{enroll}' is " + missing, enroll=trial.enroll)
         if trial.test not in unit:
-            raise DataError(f"trial test segment '{trial.test}' has no embedding")
+            raise RowError(i, "test segment '{test}' has no embedding in {embeddings}", test=trial.test)
         scored.append((trial, float(np.dot(enroll_vec, unit[trial.test]))))
     return scored
 
@@ -87,28 +105,24 @@ def _error_curves(scores: np.ndarray, labels: np.ndarray):
                         f"got {scores.shape} and {labels.shape}")
     if not np.all(np.isfinite(scores)):
         raise DataError("scores contain non-finite values")
-    n_tar = int(np.sum(labels == 1))
-    n_non = int(np.sum(labels == 0))
+    order = np.argsort(scores)
+    # tar[i] and non[i]: the targets and nontargets among the i lowest scores
+    tar = np.concatenate(([0], np.cumsum(labels[order] == 1)))
+    non = np.concatenate(([0], np.cumsum(labels[order] == 0)))
+    n_tar, n_non = int(tar[-1]), int(non[-1])
     if n_tar == 0 or n_non == 0:
         raise DataError(f"need at least one target and one nontarget trial, "
                         f"got {n_tar} targets and {n_non} nontargets")
-    # The distinct scores, ascending, as np.unique gives them. np.unique's
-    # first call imports numpy.ma (to test for a masked array), and a module
-    # loaded amid eval's per-trial objects keeps the memory they free from
-    # going back: in one process, a train after the whole pipeline peaked
-    # 15 MB above the first train with that import, 8 MB above without it.
-    ordered = np.sort(scores)
-    thresholds = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    # threshold at each unique score, plus one above the maximum
-    p_miss = np.empty(thresholds.size + 1)
-    p_fa = np.empty(thresholds.size + 1)
-    tar = np.sort(scores[labels == 1])
-    non = np.sort(scores[labels == 0])
-    p_miss[:-1] = np.searchsorted(tar, thresholds, side="left") / n_tar   # target < thr
-    p_fa[:-1] = 1.0 - np.searchsorted(non, thresholds, side="left") / n_non  # nontarget >= thr
-    p_miss[-1] = 1.0
-    p_fa[-1] = 0.0
-    return p_miss, p_fa
+    # below[k]: how many scores lie below threshold k. The thresholds are
+    # the distinct scores, ascending, then one above the maximum. They are
+    # not found with np.unique: its first call imports numpy.ma (to test for
+    # a masked array), and a module loaded amid eval's per-trial objects
+    # keeps the memory they free from going back: in one process, a train
+    # after the whole pipeline peaked 15 MB above the first train with that
+    # import, 8 MB above without it.
+    ordered = scores[order]
+    below = np.append(np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1]))), scores.size)
+    return tar[below] / n_tar, 1.0 - non[below] / n_non  # target < threshold, nontarget >= threshold
 
 
 def compute_eer(scores, labels) -> float:
@@ -133,9 +147,13 @@ def compute_min_dcf(scores, labels, p_target: float, c_miss: float, c_fa: float)
         raise ConfigError(f"p_target: must be in (0, 1), got {p_target}")
     if not (0.0 < c_miss < math.inf and 0.0 < c_fa < math.inf):  # NaN fails every comparison
         raise ConfigError(f"costs must be finite and > 0, got c_miss={c_miss}, c_fa={c_fa}")
+    norm = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    if norm == 0.0:
+        raise ConfigError(f"min(c_miss * p_target, c_fa * (1 - p_target)) underflows to 0, "
+                          f"got p_target={p_target}, c_miss={c_miss}, c_fa={c_fa}")
     p_miss, p_fa = _error_curves(scores, labels)
     dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
-    return float(dcf.min() / min(c_miss * p_target, c_fa * (1.0 - p_target)))
+    return float(dcf.min() / norm)
 
 
 @dataclass
@@ -273,7 +291,12 @@ def read_enroll_map(path) -> dict:
 
 
 def write_scores(path, scored: list) -> None:
-    """scored: (Trial, score) pairs; scores go to disk in full precision."""
+    """scored: (Trial, score) pairs; scores go to disk in full precision. A
+    non-finite score is refused: its line would not read back."""
+    bad = next(((t, score) for t, score in scored if not math.isfinite(score)), None)
+    if bad is not None:
+        raise DataError(f"{path}: refusing to write the score {float(bad[1])!r} "
+                        f"of trial ({bad[0].enroll}, {bad[0].test})")
     _write_rows(path, [(trial.enroll, trial.test, repr(float(score))) for trial, score in scored], "score", 2)
 
 
@@ -284,14 +307,15 @@ def read_scores(path) -> dict:
 
 
 def join_scores_with_trials(scores: dict, trials: list) -> tuple:
-    """Align a score table with labelled trials; returns (scores, labels)."""
+    """Align a score table with labelled trials; returns (scores, labels).
+    The first trial without a label or a score is a RowError."""
     values = np.empty(len(trials))
     labels = np.empty(len(trials), dtype=np.int64)
     for i, t in enumerate(trials):
         if t.target is None:
-            raise DataError(f"trial ({t.enroll}, {t.test}) carries no label")
+            raise RowError(i, "trial ({enroll}, {test}) carries no label", enroll=t.enroll, test=t.test)
         if (t.enroll, t.test) not in scores:
-            raise DataError(f"no score for trial ({t.enroll}, {t.test})")
+            raise RowError(i, "trial ({enroll}, {test}) has no score in {scores}", enroll=t.enroll, test=t.test)
         values[i] = scores[(t.enroll, t.test)]
         labels[i] = 1 if t.target else 0
     return values, labels

@@ -158,13 +158,18 @@ class TrainReport:
 
 def classification_accuracy(model: Model, dataset: Dataset) -> float:
     """Fraction of utterances whose full-length posterior argmax matches the
-    speaker label; inference mode, no chunking."""
+    speaker label; inference mode, no chunking. Finite weights can still
+    overflow: the forward runs with overflow warnings off, as extract's
+    does, and a posterior row that is not finite is a TrainingError."""
     correct = 0
     plan = model.inference_plan()
-    for utt in dataset.utterances:
-        trace = model.forward(utt.features, plan=plan)
-        if int(np.argmax(trace.posteriors[0])) == dataset.label(utt):
-            correct += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for utt in dataset.utterances:
+            posteriors = model.forward(utt.features, plan=plan).posteriors[0]
+            if not np.isfinite(posteriors).all():
+                raise TrainingError(f"the posteriors of utterance {utt.utt_id} in the accuracy sweep are not finite")
+            if int(np.argmax(posteriors)) == dataset.label(utt):
+                correct += 1
     return correct / len(dataset.utterances)
 
 

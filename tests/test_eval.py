@@ -11,6 +11,7 @@ from xvec.evaluation import (
     DCF08,
     DCF10,
     MetricsReport,
+    RowError,
     Trial,
     attention_trajectory,
     compute_eer,
@@ -80,6 +81,30 @@ class TestCosineScoring:
             enrollment_models(embeddings, {"spk": ["lost"]})
         with pytest.raises(DataError, match="spk"):
             enrollment_models(embeddings, {"spk": []})
+
+
+EMB = {"a": np.ones(2), "b": np.ones(2)}
+
+
+@pytest.mark.parametrize("call, row, message", [
+    (lambda: score_trials(EMB, [Trial("a", "b"), Trial("a", "{embeddings}")]), 1,
+     "test segment '{embeddings}' has no embedding in E"),
+    (lambda: score_trials(EMB, [Trial("a", "b"), Trial("spk", "b")]), 1, "enroll id 'spk' is not in E"),
+    (lambda: score_trials(EMB, [Trial("ghost", "b")], {"spk": ["a"]}), 0, "enroll id 'ghost' is in neither M nor E"),
+    (lambda: score_trials(EMB, [Trial("ghost", "b")], {"spk": ["a", "lost"]}), ("spk", "lost"),
+     "segment 'lost' of speaker 'spk' has no embedding in E"),
+    (lambda: join_scores_with_trials({("a", "b"): 0.5}, [Trial("a", "b", True), Trial("a", "c", False)]), 1,
+     "trial (a, c) has no score in S"),
+    (lambda: join_scores_with_trials({("a", "b"): 0.5}, [Trial("a", "b")]), 0, "trial (a, b) carries no label"),
+], ids=["test", "enroll-bare", "enroll-mapped", "enrollment-entry", "score", "label"])
+def test_a_refused_row_is_reported(call, row, message):
+    """The first row that does not resolve, enrollment entries before
+    trials, as a trial's index or an enrollment entry; the message words
+    the inputs with the names it is given, and an id in it stays as it is."""
+    with pytest.raises(RowError) as refused:
+        call()
+    assert refused.value.row == row
+    assert refused.value.naming(embeddings="E", enroll_map="M", scores="S") == message
 
 
 class TestEER:
@@ -169,6 +194,8 @@ class TestMinDCF:
             compute_min_dcf([1.0, 0.0], [1, 0], 0.0, 1.0, 1.0)
         with pytest.raises(ConfigError, match="cost"):
             compute_min_dcf([1.0, 0.0], [1, 0], 0.5, -1.0, 1.0)
+        with pytest.raises(ConfigError, match="underflows to 0"):  # in range, but the normalizer is 0
+            compute_min_dcf([1.0, 0.0], [1, 0], 5e-324, 1e-10, 1.0)
 
     def test_compute_metrics_bundle(self):
         scores = [0.8, 0.6, 0.4, 0.7, 0.3, 0.1]

@@ -54,6 +54,7 @@ READERS = [
     ("corpus/eval/feats/eval-s0000-u0000.xvf", ATTN),
     ("eval.xve", SCORE),
     ("corpus/enroll.tsv", SCORE),
+    ("corpus/trials.tsv", SCORE),
     ("corpus/trials.tsv", EVAL),
     ("scores.tsv", EVAL),
 ]
@@ -208,6 +209,9 @@ BAD_NUMBERS = [
     *[(EVAL + costs("--c-fa", value), None,
        f"--p-target, --c-miss, --c-fa: costs must be finite and > 0, got c_miss=10.0, c_fa={float(value)}")
       for value in ("nan", "inf", "-1")],
+    (EVAL + ("--p-target", "5e-324", "--c-miss", "1e-10", "--c-fa", "1"), None,
+     "--p-target, --c-miss, --c-fa: min(c_miss * p_target, c_fa * (1 - p_target)) underflows to 0, "
+     "got p_target=5e-324, c_miss=1e-10, c_fa=1.0"),
 ]
 
 

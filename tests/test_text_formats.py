@@ -3,8 +3,10 @@ enrollment maps and scores. Each round-trips through its public writer and
 reader, with LF or CRLF line ends, for ids holding any character but a tab,
 a line break or a lone surrogate; a repeated key fails naming its line and
 the first; no writer writes a field that would not read back, a repeated
-key, a trial without a label, nor a file with no rows."""
+key, a trial without a label, a non-finite score, a gate that is not one 0
+or 1 per frame, nor a file with no rows."""
 
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -225,6 +227,32 @@ def test_write_trials_refuses_a_trial_without_a_label(tmp_path):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         write_trials(path, [Trial("s0", "u0", True), Trial("s0", "u1")])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_write_scores_refuses_a_non_finite_score(tmp_path, score):
+    path = tmp_path / "scores.tsv"
+    message = f"{path}: refusing to write the score {score!r} of trial (s0, u1)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        write_scores(path, [(Trial("s0", "u0"), 0.5), (Trial("s0", "u1"), score)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("gate, refused", [
+    ([0, 1], "a gate of shape (2,) for y, which has 3 frames"),
+    ([[0], [1], [1]], "a gate of shape (3, 1) for y, which has 3 frames"),
+    ([0, 2, 1], "a gate value other than 0 or 1 for y"),
+    ([0.0, 0.5, 1.0], "a gate value other than 0 or 1 for y"),
+])
+def test_write_dataset_refuses_a_gate_its_reader_rejects_before_its_features(tmp_path, gate, refused):
+    """A gate of the wrong length, or with a value load_dataset would reject
+    (or, for 0.5, read back as 0)."""
+    utterances = [Utterance("x", "s", np.zeros((2, 3)), np.array([0, 1])),
+                  Utterance("y", "s", np.zeros((3, 3)), np.array(gate))]
+    message = f"{tmp_path / 'gates.tsv'}: refusing to write {refused}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        write_dataset(utterances, tmp_path)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == ["feats", "feats/x.xvf"]
 
 
 def test_write_dataset_refuses_a_repeated_id_before_its_features(tmp_path):

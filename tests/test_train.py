@@ -366,6 +366,18 @@ class TestTrainLoop:
         train(model, self._dataset(), self._cfg())
         assert kept == [True, True]
 
+    def test_sweep_under_weights_that_overflow_names_the_utterance(self):
+        """Finite weights can overflow the sweep's forward (frame0 scaled by
+        1e200 overflows the pooled variance): it raises no RuntimeWarning,
+        which the test settings make an error, and refuses the first
+        utterance whose posteriors are not finite."""
+        ds = self._dataset()
+        model = tiny_model("multihead")
+        model.frame_blocks[0].affine.weight.value[...] *= 1e200
+        with pytest.raises(TrainingError, match=f"^the posteriors of utterance {ds.utterances[0].utt_id} "
+                                                f"in the accuracy sweep are not finite$"):
+            classification_accuracy(model, ds)
+
     def test_report_bookkeeping(self):
         ds = self._dataset()
         report = train(tiny_model(), ds, self._cfg())
