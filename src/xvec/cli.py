@@ -159,11 +159,12 @@ def cmd_train(args) -> int:
     _require_out(args.out_dir, directory=True)
     if args.out_model:
         _require_out(args.out_model)
-    dataset = data.load_dataset(args.data)
+    manifest = data.read_manifest(args.data)  # the model is settled before the corpus is read
+    columns, speakers = manifest.features(1).shape[1], len(manifest.speakers)
 
     model_dict = dict(cfg.model)
-    model_dict.setdefault("input_dim", dataset.utterances[0].features.shape[1])
-    model_dict.setdefault("num_speakers", dataset.num_speakers)
+    model_dict.setdefault("input_dim", columns)
+    model_dict.setdefault("num_speakers", speakers)
     model_source = f"{args.config}: model"
     model_config = _override(from_json(ModelConfig, model_dict, model_source), {
         "--pooling": ("pooling", POOLING_FLAGS.get(args.pooling)),
@@ -171,9 +172,9 @@ def cmd_train(args) -> int:
         "--compat": ("compat", None if args.compat is None else parse_compat(args.compat)),
         "--heads": ("heads", args.heads),
     })
-    _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
-                 model_source, model_config.input_dim)
-    _require_fit(args.data, "speakers", dataset.num_speakers, model_source, model_config.num_speakers)
+    _require_fit(args.data, "feature columns", columns, model_source, model_config.input_dim)
+    _require_fit(args.data, "speakers", speakers, model_source, model_config.num_speakers)
+    dataset = data.load_dataset(args.data)
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -195,14 +196,11 @@ def cmd_extract(args) -> int:
     _require_fit(args.data, "feature columns", dataset.utterances[0].features.shape[1],
                  args.model, model.config.input_dim)
     plan = model.inference_plan()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a vector refused below
-        embeddings = {utt.utt_id: model.extract_embedding(utt.features, plan) for utt in dataset.utterances}
-        held = [np.isfinite(vec.astype(np.float32)).all() for vec in embeddings.values()]
+    embeddings = {utt.utt_id: model.extract_embedding(utt.features, plan) for utt in dataset.utterances}
+    held = [np.isfinite(data._float32(vec)).all() for vec in embeddings.values()]
     if not all(held):  # finite weights and features can still overflow: name them
-        line = held.index(False) + 1
-        manifest = Path(args.data) / "manifest.tsv" if Path(args.data).is_dir() else Path(args.data)
-        rel = data._read_rows(manifest, "utt_id<TAB>speaker<TAB>path")[line - 1][2]
-        raise DataError(f"{manifest}:{line}: the embedding of {manifest.parent / rel} under {args.model} "
+        line, manifest = held.index(False) + 1, data.read_manifest(args.data)
+        raise DataError(f"{manifest.path}:{line}: the embedding of {manifest.file(line)} under {args.model} "
                         f"is beyond float32's range")
     data.write_embeddings(args.out, embeddings)
     dim = next(iter(embeddings.values())).shape[0]
@@ -270,8 +268,7 @@ def cmd_attn(args) -> int:
     features = data.read_features(args.utt)
     _require_fit(args.utt, "feature columns", features.shape[1], args.model, model.config.input_dim)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a row refused below
-            max_weights, weights = evaluation.attention_trajectory(model, features)
+        max_weights, weights = evaluation.attention_trajectory(model, features)
     except ConfigError as e:  # a model without attention
         raise ConfigError(f"{args.model}: {e}") from None
     if not np.isfinite(weights).all():  # finite weights and features can still overflow: name them

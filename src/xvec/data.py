@@ -390,38 +390,66 @@ def write_dataset(utterances, out_dir) -> list:
     return [(utt_id, speaker) for utt_id, speaker, _ in manifest]
 
 
-def load_dataset(manifest_path) -> Dataset:
-    """Load a dataset from a manifest file or a directory containing one."""
+@dataclass(frozen=True)
+class Manifest:
+    """A dataset's manifest file and its checked rows, [utt_id, speaker,
+    feature path as written] per line, in order; and the gates beside it,
+    utt_id -> (its line in gates.tsv, its int8 gate)."""
+
+    path: Path
+    rows: list
+    gates: dict
+
+    @property
+    def speakers(self) -> list:
+        return sorted({speaker for _, speaker, _ in self.rows})
+
+    def file(self, line: int) -> Path:
+        """The feature file a 1-based line names, found from the manifest's directory."""
+        return self.path.parent / self.rows[line - 1][2]
+
+    def features(self, line: int) -> np.ndarray:
+        """The features of a line's file; a file that cannot be read is named with the line."""
+        try:
+            return read_features(self.file(line))
+        except OSError as e:
+            raise DataError(f"{self.path}:{line}: cannot read {self.file(line)}: {e.strerror}") from None
+
+
+def read_manifest(manifest_path) -> Manifest:
+    """The manifest at a path, or the one in a directory, and the gates.tsv
+    beside it if there is one, read and checked."""
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.tsv"
     if not path.is_file():
         raise DataError(f"no manifest found at {path}")
-    root = path.parent
     gates = {}
-    gate_path = root / "gates.tsv"
-    if gate_path.is_file():
+    if (gate_path := path.parent / "gates.tsv").is_file():
         rows = _read_rows(gate_path, "utt_id<TAB>0/1 string", "utterance id", key=1,
                           valid=lambda row: set(row[1]) <= {"0", "1"})
-        gates = {utt_id: np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0") for utt_id, bits in rows}
-    utterances = []
+        gates = {utt_id: (line, np.frombuffer(bits.encode(), np.int8) - ord("0"))
+                 for line, (utt_id, bits) in enumerate(rows, 1)}
     rows = _read_rows(path, "utt_id<TAB>speaker<TAB>path", "utterance id", key=1,
                       valid=lambda row: "\0" not in row[2])  # no file system takes a NUL in a path
-    for lineno, (utt_id, speaker, rel) in enumerate(rows, 1):
-        try:
-            feats = read_features(root / rel)
-        except OSError as e:
-            raise DataError(f"{path}:{lineno}: cannot read {root / rel}: {e.strerror}") from None
+    return Manifest(path, rows, gates)
+
+
+def load_dataset(manifest_path) -> Dataset:
+    """Load a dataset from a manifest file or a directory containing one."""
+    manifest = read_manifest(manifest_path)
+    utterances = []
+    for lineno, (utt_id, speaker, rel) in enumerate(manifest.rows, 1):
+        feats = manifest.features(lineno)
         if utterances and feats.shape[1] != utterances[0].features.shape[1]:
-            raise DataError(f"{path}:{lineno}: {rel} has {feats.shape[1]} feature columns, "
+            raise DataError(f"{manifest.path}:{lineno}: {rel} has {feats.shape[1]} feature columns, "
                             f"line 1 has {utterances[0].features.shape[1]}")
-        gate = gates.get(utt_id)
+        gate_line, gate = manifest.gates.get(utt_id, (None, None))
         if gate is not None and gate.shape[0] != feats.shape[0]:
-            gate_line = list(gates).index(utt_id) + 1  # _read_rows keeps one row per line, in order
-            raise DataError(f"{gate_path}:{gate_line}: {gate.shape[0]} gate values for {utt_id}, "
-                            f"but {rel} ({path}:{lineno}) has {feats.shape[0]} frames")
-        utterances.append(Utterance(utt_id, speaker, feats, gate.astype(np.int8) if gate is not None else None))
-    return Dataset.from_utterances(utterances)
+            raise DataError(f"{manifest.path.parent / 'gates.tsv'}:{gate_line}: {gate.shape[0]} gate values "
+                            f"for {utt_id}, but {rel} ({manifest.path}:{lineno}) has {feats.shape[0]} frames")
+        utterances.append(Utterance(utt_id, speaker, feats, gate))
+    return Dataset(utterances, manifest.speakers)
 
 
 # -- batching ----------------------------------------------------------------

@@ -142,18 +142,30 @@ def compute_eer(scores, labels) -> float:
 
 
 def compute_min_dcf(scores, labels, p_target: float, c_miss: float, c_fa: float) -> float:
-    """Minimum normalized detection cost over all thresholds."""
+    """Minimum normalized detection cost over all thresholds.
+
+    The weights c_miss * p_target and c_fa * (1 - p_target) are formed from
+    the factors' mantissas and then scaled by one power of two that puts the
+    smaller in [0.25, 1), so no product below is subnormal. A power of two
+    moves a normal product without rounding it, so a cost whose products
+    were all normal keeps its bits. The larger weight may overflow to inf:
+    it then adds 0 where its error rate is 0."""
     if not 0.0 < p_target < 1.0:
         raise ConfigError(f"p_target: must be in (0, 1), got {p_target}")
     if not (0.0 < c_miss < math.inf and 0.0 < c_fa < math.inf):  # NaN fails every comparison
         raise ConfigError(f"costs must be finite and > 0, got c_miss={c_miss}, c_fa={c_fa}")
-    norm = min(c_miss * p_target, c_fa * (1.0 - p_target))
-    if norm == 0.0:
+    if min(c_miss * p_target, c_fa * (1.0 - p_target)) == 0.0:
         raise ConfigError(f"min(c_miss * p_target, c_fa * (1 - p_target)) underflows to 0, "
                           f"got p_target={p_target}, c_miss={c_miss}, c_fa={c_fa}")
+    (m_miss, e_miss), (m_tar, e_tar) = math.frexp(c_miss), math.frexp(p_target)
+    (m_fa, e_fa), (m_non, e_non) = math.frexp(c_fa), math.frexp(1.0 - p_target)
+    shift = min(e_miss + e_tar, e_fa + e_non)
+    with np.errstate(over="ignore"):  # the larger weight may overflow to inf
+        w_miss, w_fa = np.ldexp([m_miss * m_tar, m_fa * m_non], [e_miss + e_tar - shift, e_fa + e_non - shift])
     p_miss, p_fa = _error_curves(scores, labels)
-    dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
-    return float(dcf.min() / norm)
+    dcf = np.multiply(w_miss, p_miss, out=np.zeros_like(p_miss), where=p_miss > 0)
+    dcf += np.multiply(w_fa, p_fa, out=np.zeros_like(p_fa), where=p_fa > 0)
+    return float(dcf.min() / min(w_miss, w_fa))
 
 
 @dataclass
@@ -217,13 +229,17 @@ def gate_correlation(weights: np.ndarray, gate: np.ndarray) -> float:
 
 
 def mean_gate_correlation(model: Model, dataset: Dataset) -> float:
-    """Mean per-utterance gate correlation of the max-over-heads weights."""
+    """Mean per-utterance gate correlation of the max-over-heads weights.
+    Finite weights can still overflow (see Model.forward): an attention row
+    that is not finite is a DataError."""
     values = []
     plan = model.inference_plan()
     for utt in dataset.utterances:
         if utt.gate is None:
             continue
-        max_weights, _ = attention_trajectory(model, utt.features, plan)
+        max_weights, weights = attention_trajectory(model, utt.features, plan)
+        if not np.isfinite(weights).all():
+            raise DataError(f"the attention of utterance {utt.utt_id} is not finite")
         values.append(gate_correlation(max_weights, utt.gate))
     if not values:
         raise DataError("no utterance in the dataset carries gate ground truth")

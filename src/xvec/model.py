@@ -274,18 +274,24 @@ class Model:
 
     # -- forward / backward ---------------------------------------------------
 
-    def _buffers(self, rows: int):
-        """The flat splice buffer and pooling's (rows, d_v) work array, from
-        the workspace. One buffer serves every block that splices, then
-        pooling as its work array; backward_batch splices again into it what
-        each block needs. A last block that splices reads its splice and the
-        value gradient at once, so then pooling has a work array of its own."""
+    def _buffers(self, x: np.ndarray):
+        """Check the columns of features x (the frames in any shape), then
+        hand out from the workspace each frame block's view of the one splice
+        buffer (None for a block that does not splice) and pooling's
+        (frames, d_v) work array. After the blocks pooling takes the buffer as
+        its work array, and backward_batch splices into it again; a last
+        block that splices reads its splice and the value gradient at once,
+        so then pooling has a work array of its own."""
+        if x.shape[-1] != self.config.input_dim:
+            raise DataError(f"features have {x.shape[-1]} columns, model expects {self.config.input_dim}")
         ws = self._workspace
-        d_v = self.config.value_dim
+        frames, rows, d_v = x.shape[:-1], x.size // x.shape[-1], self.config.value_dim
         splicing = [block.affine.din for block in self.frame_blocks if block.splice.width_multiplier > 1]
         shared = self.frame_blocks[-1].splice.width_multiplier == 1
         buffer = ws("spliced", rows, max(splicing + ([d_v] if shared else []))).reshape(-1)
-        return buffer, buffer[: rows * d_v].reshape(rows, d_v) if shared else ws("work", rows, d_v)
+        views = [buffer[: rows * block.affine.din].reshape(*frames, block.affine.din)
+                 if block.splice.width_multiplier > 1 else None for block in self.frame_blocks]
+        return views, buffer[: rows * d_v].reshape(rows, d_v) if shared else ws("work", rows, d_v)
 
     def inference_plan(self) -> InferencePlan:
         """Fold each batch norm into what it feeds; see the module
@@ -305,6 +311,7 @@ class Model:
             pool = MultiHeadPool(pool.net, query, pool.heads)
         return InferencePlan(frame, compat, pool, _scale_shift(blocks[-1].bn)[0] ** 2)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, features: np.ndarray, train: bool = False,
                 plan: InferencePlan | None = None) -> ForwardTrace:
         """Forward one T x d utterance.
@@ -314,20 +321,18 @@ class Model:
         and passes it in, which changes no result. Either way the frame
         layers run in the model's workspace. train=True runs forward_batch
         on a batch of this one chunk: batch norm uses the chunk's own frame
-        statistics and updates the running ones.
+        statistics and updates the running ones. Finite weights and features
+        can still overflow: NumPy's overflow and invalid-value warnings are
+        off here, and each caller checks the values it reads.
         """
         x = as_matrix(features)
-        if x.shape[1] != self.config.input_dim:
-            raise DataError(
-                f"features have {x.shape[1]} columns, model expects {self.config.input_dim}"
-            )
         if train:
             return ForwardTrace(self.forward_batch(x[None], train=True)[0])
+        splices, work = self._buffers(x)
         if plan is None:
             plan = self.inference_plan()
         ws = self._workspace
         t = x.shape[0]
-        buffer, work = self._buffers(t)
 
         def folded(affine, act, bn, h):  # bn's arrays, as in a training step
             y = affine.forward(h, out=ws((bn, "x_hat"), t, affine.dout))
@@ -335,8 +340,7 @@ class Model:
 
         key_idx = self.config.effective_key_layer - 1
         h = x
-        for i, (block, affine) in enumerate(zip(self.frame_blocks, plan.frame)):
-            spliced = buffer[: t * affine.din].reshape(t, affine.din) if block.splice.width_multiplier > 1 else None
+        for i, (block, affine, spliced) in enumerate(zip(self.frame_blocks, plan.frame, splices)):
             h = folded(affine, block.act, block.bn, block.splice.forward(h, out=spliced))
             if i == key_idx:
                 keys = h  # its batch norm is folded into plan.compat[0]
@@ -352,14 +356,8 @@ class Model:
                 c = folded(affine, act, bn, c)
             pooled, (attention,), _ = plan.pool.pool_from_compat(h[None], c[None], work, plan.var_scale)
         self.frame_blocks[-1].bn.forward(pooled[:, :d_v], out=pooled[:, :d_v])
-        z = pooled
-        preacts = []
-        for affine, act in zip(self.utt_affines, self.utt_acts):
-            z = affine.forward(z)
-            preacts.append(z[0].copy())
-            z = act.forward(z)
-        posteriors = self.softmax.forward(self.classifier.forward(z))
-        return ForwardTrace(posteriors, pooled[0], preacts, attention)
+        posteriors, preacts = self._head(pooled)
+        return ForwardTrace(posteriors, pooled[0], [z[0] for z in preacts], attention)
 
     def forward_batch(self, chunks: np.ndarray, train: bool = True):
         """Forward a (B, T, d) stack of equal-length chunks as one batch.
@@ -374,23 +372,15 @@ class Model:
         x = np.asarray(chunks, dtype=np.float64)
         if x.ndim != 3:
             raise DataError(f"batch must be 3-D (B, T, d), got shape {x.shape}")
-        if x.shape[2] != self.config.input_dim:
-            raise DataError(
-                f"batch features have {x.shape[2]} columns, model expects {self.config.input_dim}"
-            )
+        splices, work = self._buffers(x)
         b, t, _ = x.shape
         ws = self._workspace
         key_idx = self.config.effective_key_layer - 1
-        buffer, work = self._buffers(b * t)
         h = x
         frames = []  # per block: its (B, T, d) input, its splice buffer or None, its affine's input
         keys_flat = compat = None
-        for i, block in enumerate(self.frame_blocks):
-            cols = block.affine.din
-            out = None
-            if block.splice.width_multiplier > 1:
-                out = buffer[: b * t * cols].reshape(b, t, cols)
-            spliced = block.splice.forward_batch(h, out).reshape(b * t, cols)
+        for i, (block, out) in enumerate(zip(self.frame_blocks, splices)):
+            spliced = block.splice.forward_batch(h, out).reshape(b * t, block.affine.din)
             frames.append((h, out, spliced))
             flat = _block_forward(block.affine, block.act, block.bn, spliced, train, ws)
             h = flat.reshape(b, t, flat.shape[1])
@@ -401,10 +391,16 @@ class Model:
         else:
             compat = self.pool.net.forward(keys_flat, train, ws)
             z, _, pool_cache = self.pool.pool_from_compat(h, compat.reshape(b, t, compat.shape[1]), work)
+        return self._head(z, train)[0], (pool_cache, frames, compat)
+
+    def _head(self, z: np.ndarray, train: bool = False):
+        """The utterance layers and the classifier on pooled rows: the
+        posteriors, and each utterance affine's output before its leaky ReLU."""
+        preacts = []
         for affine, act in zip(self.utt_affines, self.utt_acts):
-            z = act.forward(affine.forward(z, train), train)
-        posteriors = self.softmax.forward(self.classifier.forward(z, train), train)
-        return posteriors, (pool_cache, frames, compat)
+            preacts.append(z := affine.forward(z, train))
+            z = act.forward(z, train)
+        return self.softmax.forward(self.classifier.forward(z, train), train), preacts
 
     def backward_batch(self, d_posteriors: np.ndarray, cache) -> None:
         """Backpropagate one batched forward and accumulate the parameter

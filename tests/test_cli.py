@@ -633,7 +633,8 @@ class TestRefusedBeforeWork:
         (["--seed", "3", "--pooling", "multihead", "--heads", "5"],
          "--pooling, --heads: heads: 5 does not divide the value dimension 8"),
     ])
-    def test_a_bad_flag_is_named(self, corpus, tmp_path, capsys, flags, message):
+    def test_a_bad_flag_is_named(self, corpus, tmp_path, capsys, flags, message, monkeypatch):
+        monkeypatch.setattr(data, "load_dataset", None)  # the model is settled before the corpus is read
         run = tmp_path / "run"
         self._refused(["train", "--config", micro_config(tmp_path, pooling="multihead"), "--data", str(corpus),
                        "--out-dir", str(run), *flags], message, run, capsys)

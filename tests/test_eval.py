@@ -13,6 +13,7 @@ from xvec.evaluation import (
     MetricsReport,
     RowError,
     Trial,
+    _error_curves,
     attention_trajectory,
     compute_eer,
     compute_metrics,
@@ -189,6 +190,27 @@ class TestMinDCF:
         for transform in (np.exp, lambda s: 0.1 * s - 7.0):
             assert abs(compute_min_dcf(transform(scores), labels, *DCF08) - base) < 1e-12
 
+    def test_subnormal_weights_keep_the_result(self):
+        """A cost weight c_miss * p_target or c_fa * (1 - p_target) that is
+        subnormal but not 0 loses no precision, and one that overflows once
+        scaled adds 0 where its error rate is 0."""
+        scores, labels = [0.9, 0.8, 0.3, 0.7, 0.2, 0.1], [1, 1, 1, 0, 0, 0]
+        for p, cm, cf in ((1e-310, 1.0, 1.0), (1e-320, 1.0, 1.0), (5e-324, 1.0, 1.0),
+                          (0.5, 1e-310, 1.0), (0.5, 1.0, 1e-310), (0.5, 1e-320, 1e300)):
+            want = oracle_min_dcf(scores, labels, p, cm, cf)
+            assert abs(compute_min_dcf(scores, labels, p, cm, cf) - want) < 1e-12, (p, cm, cf)
+
+    def test_normal_weights_keep_their_bits(self):
+        """Where every weight and product is normal, the scaled weights give
+        the bits of the unscaled expression."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            scores, labels = random_score_set(rng)
+            p, cm, cf = 10.0 ** rng.uniform(-6, -0.01), 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+            p_miss, p_fa = _error_curves(scores, labels)
+            plain = (cm * p * p_miss + cf * (1.0 - p) * p_fa).min() / min(cm * p, cf * (1.0 - p))
+            assert compute_min_dcf(scores, labels, p, cm, cf) == float(plain)
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigError, match="p_target"):
             compute_min_dcf([1.0, 0.0], [1, 0], 0.0, 1.0, 1.0)
@@ -304,6 +326,23 @@ class TestGateCorrelation:
             utt.gate = None
         with pytest.raises(DataError, match="gate"):
             mean_gate_correlation(attention_model(), ds)
+
+    def test_attention_that_overflows_names_the_utterance(self):
+        """Finite weights can overflow the forward; no RuntimeWarning is
+        raised (the test settings make one an error). Frame0 scaled by 1e200
+        overflows only the pooled variance, so the attention stays finite and
+        is used. Frame0 and compat0 scaled by 1e160 overflow the logits: the
+        first utterance, whose attention is not finite, is refused."""
+        ds = Dataset.from_utterances(gen_synthetic(SynthConfig(num_speakers=2, utts_per_speaker=2,
+                                                               min_frames=12, max_frames=16, dim=3, seed=0)))
+        model = attention_model("multihead", heads=2)
+        model.frame_blocks[0].affine.weight.value[...] *= 1e200
+        assert -1.0 <= mean_gate_correlation(model, ds) <= 1.0
+        model = attention_model("multihead", heads=2)
+        model.frame_blocks[0].affine.weight.value[...] *= 1e160
+        model.pool.net.blocks[0][0].weight.value[...] *= 1e160
+        with pytest.raises(DataError, match=f"^the attention of utterance {ds.utterances[0].utt_id} is not finite$"):
+            mean_gate_correlation(model, ds)
 
 
 class TestMakeTrials:
